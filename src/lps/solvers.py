@@ -77,6 +77,7 @@ class SolverConfig:
     kkt_tol: float = 1e-10
     max_iter: int = 500
     max_iter_first_order: int = 50000
+    # bpdn path-match tolerance, relative to ||y||_2 (eps form) or eta
     bisection_tol: float = 1e-10
     ls_shrink: float = 0.5
     ls_decrease: float = 1e-4
@@ -286,7 +287,7 @@ def _bp_dual_newton(A, y, p, cfg, cho):
         s = A.T @ nu
         x = pnorm.h_scalar(s, p)
         F = A @ x - y
-        if np.linalg.norm(F) <= cfg.kkt_tol * (1.0 + ny):
+        if np.linalg.norm(F) <= cfg.kkt_tol * ny:
             return _bp_wrap(A, y, p, x, nu, it, CONVERGED)
         if guard.stalled(float(np.linalg.norm(F))):
             return _bp_wrap(A, y, p, x, nu, it, MAX_ITER)
@@ -485,7 +486,7 @@ def _rr_result(A, y, p, lam):
 
 def _rr_residual_newton(A, y, p, lam, cfg, warm):
     wrap = _rr_result(A, y, p, lam)
-    scale = 1.0 + np.abs(A.T @ y).max()
+    scale = np.abs(A.T @ y).max()
     m = A.shape[0]
     x0 = warm if warm is not None else _ridge2_start(A, y, lam)
     w = y - A @ x0
@@ -528,7 +529,7 @@ def _rr_residual_newton(A, y, p, lam, cfg, warm):
 def _rr_primal_newton(A, y, p, lam, cfg, warm):
     wrap = _rr_result(A, y, p, lam)
     n = A.shape[1]
-    scale = 1.0 + np.abs(A.T @ y).max()
+    scale = np.abs(A.T @ y).max()
     AtA = A.T @ A
     x = warm if warm is not None else _ridge2_start(A, y, lam)
 
@@ -575,7 +576,7 @@ def _first_order(A, y, obj, grad, x0, cfg, wrap, iters_used=0):
     x = np.asarray(x0, dtype=float).copy()
     fx = obj(x)
     g = grad(x)
-    scale = 1.0 + np.abs(A.T @ y).max()
+    scale = np.abs(A.T @ y).max()
     t = 1.0 / max(float(np.abs(g).max()), 1.0)
     x_prev = None
     g_prev = None
@@ -793,8 +794,8 @@ def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult
     For eps >= ||y||_2 the solution is x = 0 with multiplier 0.  Otherwise
     the constraint is active and there is a unique mu > 0 with
     grad_f(x) + 2 mu A^T (A x - y) = 0; the solution lies on the penalized
-    path x(lam) = rr-solution(lam) at lam = 1/(2 mu), located by bisecting
-    lam until ||A x(lam) - y||_2 = eps.
+    path x(lam) = rr-solution(lam) at lam = 1/(2 mu), located by a
+    safeguarded Newton root-find (_rr_path_root) on ||A x(lam) - y||_2 = eps.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
@@ -812,14 +813,8 @@ def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult
         x = np.zeros(n)
         return SolveResult(x, 0.0, 0.0, 0.0, 0, CONVERGED)
 
-    inner = _bisect_rr_path(
-        A, y, p, cfg,
-        value=lambda x: float(np.linalg.norm(A @ x - y)),
-        target=eps,
-        increasing=True,
-        tol=cfg.bisection_tol * ny,
-        tol_floor=1e-8 * ny,
-    )
+    inner = _rr_path_root(A, y, p, cfg, residual=True, target=eps,
+                          tol=cfg.bisection_tol * ny, tol_floor=1e-8 * ny)
     if inner is None:
         x = np.zeros(n)
         return SolveResult(x, None, pnorm.pnorm(x, p), np.inf, 0, DEGENERATE)
@@ -841,7 +836,9 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     and the problem reduces to basis pursuit; the bp solution is returned
     with multiplier 0 and the reduction flagged.  Otherwise the constraint
     is active, the multiplier mu > 0 is unique, and the solution lies on
-    the same penalized path, located by bisecting mu until ||x(mu)||_p = eta.
+    the same penalized path at lam = mu, located by the same root-find on
+    ||x(mu)||_p = eta.  bp is solved only when eta is not below a dual lower
+    bound on its optimum.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
@@ -850,29 +847,29 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     eta = float(eta)
     if eta <= 0:
         raise InvalidInputError(f"bpdn_eta requires eta > 0, got {eta}")
-    if _gram_cho(A) is None:
+    cho = _gram_cho(A)
+    if cho is None:
         raise RankDeficientError("bpdn_eta requires A with full row rank")
 
-    # internal solves pick their own branch; cfg.algorithm names rr/bp-specific
-    # methods that need not coincide
-    bp = solve_bp(A, y, p, replace(cfg, algorithm="auto"))
-    if pnorm.pnorm(bp.x, p) <= eta:
-        resid = A @ bp.x - y
-        return SolveResult(
-            x=bp.x, multiplier=0.0, objective=float(np.linalg.norm(resid)),
-            kkt_residual=bp.kkt_residual, iterations=bp.iterations,
-            status=bp.status, reduced_to_bp=True,
-        )
+    # every x with A x = y has ||x||_p >= ||x_ls||_2^2 / ||x_ls||_q (Hoelder
+    # against the least-norm solution x_ls), so below that bound the
+    # constraint is active and bp is not needed; the factor is a rounding
+    # allowance.  Internal solves pick their own branch: cfg.algorithm names
+    # rr/bp-specific methods that need not coincide.
+    bp_cfg = replace(cfg, algorithm="auto")
+    x_ls = A.T @ scipy.linalg.cho_solve(cho, y, check_finite=False)
+    bp = None
+    if eta * pnorm.pnorm(x_ls, p / (p - 1.0)) >= (1.0 - 1e-10) * float(x_ls @ x_ls):
+        bp = solve_bp(A, y, p, bp_cfg)
+        if pnorm.pnorm(bp.x, p) <= eta:
+            return SolveResult(bp.x, 0.0, float(np.linalg.norm(A @ bp.x - y)), bp.kkt_residual,
+                               bp.iterations, bp.status, reduced_to_bp=True)
 
-    inner = _bisect_rr_path(
-        A, y, p, cfg,
-        value=lambda x: pnorm.pnorm(x, p),
-        target=eta,
-        increasing=False,
-        tol=cfg.bisection_tol * eta,
-        tol_floor=1e-8 * eta,
-    )
+    inner = _rr_path_root(A, y, p, cfg, residual=False, target=eta,
+                          tol=cfg.bisection_tol * eta, tol_floor=1e-8 * eta)
     if inner is None:
+        if bp is None:
+            bp = solve_bp(A, y, p, bp_cfg)
         return SolveResult(bp.x, None, float(np.linalg.norm(A @ bp.x - y)),
                            np.inf, bp.iterations, DEGENERATE)
     x, mu, iters = inner
@@ -884,92 +881,94 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     return SolveResult(x, mu, float(np.linalg.norm(resid)), kkt, iters, CONVERGED)
 
 
-def _bisect_rr_path(A, y, p, cfg, value, target, increasing, tol, tol_floor):
-    """Bisect lam in the rr path x(lam) until value(x(lam)) == target.
+def _path_dx(A, p, lam, x):
+    """dx/dlam on the rr path, from the derivative of its stationarity.
 
-    `increasing` states whether value grows with lam (true for the residual
-    norm, false for ||x||_p).  The loop aims for |value - target| <= tol;
-    when the lam bracket collapses to machine width first (the match
-    tolerance sits below what the inner solves can certify), the midpoint
-    is still accepted if it matches within tol_floor.  Returns
-    (x, lam, inner_iterations) or None when no bracket exists or even the
-    floor tolerance cannot be met.
+    Differentiating A^T (A x - y) + lam g(x) = 0 gives
+    (A^T A + lam diag(g'(x))) dx = -g(x).  For p >= 2 that n x n system is
+    solved as it stands; for 1 < p < 2, where g' blows up at 0, it is solved
+    in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m matrix
+    J = I + A E A^T of the residual Newton iteration.
     """
-    # inner solves are polished well below the bisection tolerance so the
-    # path value is evaluated with negligible noise
-    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3), algorithm="auto")
-    total = 0
-    warm = None
+    g = pnorm.pnorm_grad(x, p)
+    if p >= 2.0:
+        J = A.T @ A + np.diag(lam * pnorm.g_prime(x, p))
+        return _solve_shifted(J, -g, np.trace(J) / J.shape[0])
+    e = pnorm.h_prime(g, p) / lam
+    J = np.eye(A.shape[0]) + (A * e) @ A.T
+    dw = _solve_shifted(J, A @ (e * g), np.trace(J) / J.shape[0])
+    return e * (A.T @ dw - g)
 
-    def eval_at(lam):
-        nonlocal total, warm
+
+def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
+    """Find lam on the rr path x(lam) where the path value meets target.
+
+    The path value is ||A x - y||_2 when `residual` (it grows with lam),
+    else ||x||_p (it falls).  Newton steps in log lam take their slope
+    from _path_dx.  The bracket [lo, hi] seen so far guards them: a step
+    that leaves it, or that follows a Newton step which failed to halve the
+    mismatch, is replaced by a geometric one (x8, /8 or sqrt(lo hi)).  The
+    start mean(A * A) and the floor 1e-12 times it scale as c^2 when (A, y)
+    scales by c, so the iteration is scale-free.  The loop aims for
+    |value - target| <= tol; when the bracket collapses to machine width
+    first (the tolerance sits below what the inner solves can certify), the
+    closest point is still accepted if it matches within tol_floor.
+    Returns (x, lam, inner_iterations), or None when even the floor lies
+    past the target or no point meets tol_floor.
+    """
+    # inner solves are polished well below the match tolerance so the path
+    # value and its slope carry negligible noise
+    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3), algorithm="auto")
+    lam = float(np.mean(A * A))
+    floor = 1e-12 * lam
+    lo, hi = 0.0, np.inf
+    total, warm = 0, None
+    best = (np.inf, None, None)
+    last_gap = np.inf
+    newton = False
+    for _ in range(200):  # budget of inner rr solves
         res = _rr_core(A, y, p, lam, inner_cfg, warm)
         total += res.iterations
-        warm = res.x
-        return res.x, value(res.x)
-
-    passed = (lambda v: v >= target) if increasing else (lambda v: v <= target)
-
-    # bracketing scan: double from 1 until the target side is passed, then
-    # walk down until the other side is seen (lam -> 0 gives the other sign
-    # analytically, but interpolation wants a numeric value)
-    hi = 1.0
-    x_hi, v_hi = eval_at(hi)
-    doublings = 0
-    while not passed(v_hi):
-        hi *= 2.0
-        doublings += 1
-        if doublings > 200:
-            return None
-        x_hi, v_hi = eval_at(hi)
-    if abs(v_hi - target) <= tol:
-        return x_hi, hi, total
-    lo = hi
-    v_lo = v_hi
-    while passed(v_lo):
-        lo /= 8.0
-        if lo < 1e-12:
-            lo = 1e-12
-            _, v_lo = eval_at(lo)
-            if passed(v_lo):
+        x = warm = res.x
+        r = A @ x - y
+        value = float(np.linalg.norm(r)) if residual else pnorm.pnorm(x, p)
+        gap = value - target
+        if abs(gap) <= tol:
+            return x, lam, total
+        if abs(gap) < best[0]:
+            best = (abs(gap), x, lam)
+        if (gap > 0.0) == residual:
+            if lam <= floor:
                 return None
-            break
-        _, v_lo = eval_at(lo)
-    if abs(v_lo - target) <= tol:
-        x_lo, v_lo = eval_at(lo)
-        return x_lo, lo, total
-
-    # safeguarded root-find on the monotone path value: regula falsi in
-    # log(lam), forced to a geometric bisection step whenever interpolation
-    # fails to shrink the mismatch
-    last_gap = min(abs(v_hi - target), abs(v_lo - target))
-    use_mid = False
-    for _ in range(500):
-        if use_mid or v_hi == v_lo:
-            mid = float(np.sqrt(lo * hi))
+            hi = lam
         else:
-            frac = (target - v_lo) / (v_hi - v_lo)
-            frac = min(max(frac, 0.05), 0.95)
-            mid = float(np.exp(np.log(lo) + frac * (np.log(hi) - np.log(lo))))
-        x_mid, v_mid = eval_at(mid)
-        gap = abs(v_mid - target)
-        if gap <= tol:
-            return x_mid, mid, total
-        use_mid = gap > 0.5 * last_gap
-        last_gap = min(last_gap, gap)
-        if passed(v_mid):
-            hi, v_hi = mid, v_mid
-        else:
-            lo, v_lo = mid, v_mid
-        if hi - lo <= 1e-13 * hi:
+            lo = lam
+        if lo >= (1.0 - 1e-13) * hi:
             break
-    # bracket collapsed: evaluate once more at the midpoint and accept if the
-    # constraint match is within the floor tolerance
-    mid = float(np.sqrt(lo * hi))
-    x_mid, v_mid = eval_at(mid)
-    if abs(v_mid - target) <= max(tol, tol_floor):
-        return x_mid, mid, total
-    return None
+        dx = _path_dx(A, p, lam, x)
+        with np.errstate(all="ignore"):
+            if residual:
+                # Newton on log ||r||, which is near linear in log lam where
+                # the residual grows like lam; ||x||_p is stepped on as it is
+                phi, slope = np.log(value / target), lam * (r @ (A @ dx)) / value ** 2
+            else:
+                phi, slope = gap, lam * (pnorm.pnorm_grad(x / value, p) @ dx) / p
+            step = float(lam * np.exp(-phi / slope))
+        # an open side of the bracket reaches one geometric step out
+        if hi == np.inf:
+            geometric = 8.0 * lam
+            inside = lo < step <= geometric
+        elif lo == 0.0:
+            geometric = max(lam / 8.0, floor)
+            inside = geometric <= step < hi
+        else:
+            geometric = float(np.sqrt(lo * hi))
+            inside = lo < step < hi
+        newton = inside and not (newton and abs(gap) > 0.5 * last_gap)
+        lam = step if newton else geometric
+        last_gap = abs(gap)
+    gap, x, lam = best
+    return (x, lam, total) if gap <= tol_floor else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import pytest
 
 from oracles import golden_section, grid_min_1d, grid_min_2d, l1_min_objective
 
+import lps.solvers
 from lps import linalg, pnorm
+from lps.ensembles import EnsembleSpec, gen_gaussian_instance
 from lps.errors import InvalidInputError, RankDeficientError
 from lps.solvers import (
     ProblemInstance,
@@ -382,6 +384,86 @@ class TestSolveBpdnEta:
     def test_rejects_bad_eta(self):
         with pytest.raises(InvalidInputError):
             solve_bpdn_eta(np.eye(2), [1.0, 1.0], 2, -1.0)
+
+
+class TestPathRootFind:
+    """The bpdn forms: scale-free stopping tests and the Newton path count."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.5])
+    def test_scale_invariance(self, p):
+        # (A, y) -> c (A, y) leaves the bp, bpdn_eps (eps -> c eps), bpdn_eta
+        # and rr (lam -> c^2 lam) solutions unchanged
+        A, y = random_instance(np.random.default_rng(int(p * 10)), 8, 20)
+        eps = 0.1 * np.linalg.norm(y)
+        eta = 0.5 * pnorm.pnorm(solve_bp(A, y, p).x, p)
+        solves = {
+            "bp": lambda c: solve_bp(c * A, c * y, p),
+            "rr": lambda c: solve_rr(c * A, c * y, p, 0.1 * c * c),
+            "bpdn_eps": lambda c: solve_bpdn_eps(c * A, c * y, p, c * eps),
+            "bpdn_eta": lambda c: solve_bpdn_eta(c * A, c * y, p, eta),
+        }
+        for family, solve in solves.items():
+            ref = solve(1.0)
+            assert ref.converged, family
+            for c in (1e-6, 1e6):
+                res = solve(c)
+                assert res.converged, (family, c)
+                assert np.abs(res.x - ref.x).max() <= 1e-8 * np.abs(ref.x).max(), (family, c)
+
+    @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_newton_path_rr_solve_count(self, monkeypatch, family, p):
+        # the criterion-7 shape with the experiment harness's targets
+        calls = []
+        rr_core = lps.solvers._rr_core
+
+        def counted(*args):
+            calls.append(args[3])
+            return rr_core(*args)
+
+        monkeypatch.setattr(lps.solvers, "_rr_core", counted)
+        trials = 24
+        for trial in range(trials):
+            A, y = gen_gaussian_instance(EnsembleSpec(m=8, N=20, seed=1000 + trial))
+            if family == "bpdn_eps":
+                target = 0.1 * np.linalg.norm(y)
+            else:
+                target = 0.5 * pnorm.pnorm(solve_bp(A, y, p).x, p)
+            res = getattr(lps.solvers, "solve_" + family)(A, y, p, target)
+            assert res.converged and res.multiplier > 0
+        assert calls, "the path root-find must call lps.solvers._rr_core"
+        assert len(calls) / trials <= 8.0
+
+
+class TestBpdnEtaDualBound:
+    def _instance(self):
+        return random_instance(np.random.default_rng(140), 8, 20)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.5])
+    def test_no_bp_below_bound(self, monkeypatch, p):
+        A, y = self._instance()
+        x_ls = linalg.least_norm_solution(A, y)
+        bound = float(x_ls @ x_ls) / pnorm.pnorm(x_ls, p / (p - 1.0))
+        bp_norm = pnorm.pnorm(solve_bp(A, y, p).x, p)
+        assert bound <= bp_norm * (1.0 + 1e-12)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_bp called below the dual bound")
+
+        monkeypatch.setattr(lps.solvers, "solve_bp", forbidden)
+        res = solve_bpdn_eta(A, y, p, 0.9 * bound)
+        assert res.converged and res.multiplier > 0
+        assert not res.reduced_to_bp
+        assert pnorm.pnorm(res.x, p) == pytest.approx(0.9 * bound, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_reduces_to_bp_at_bp_norm(self, p):
+        A, y = self._instance()
+        bp = solve_bp(A, y, p)
+        res = solve_bpdn_eta(A, y, p, pnorm.pnorm(bp.x, p))
+        assert res.reduced_to_bp and res.converged
+        assert res.multiplier == 0.0
+        np.testing.assert_array_equal(res.x, bp.x)
 
 
 class TestSolveBpL1:
