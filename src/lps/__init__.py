@@ -55,6 +55,7 @@ from .solvers import (
     solve_instance,
     solve_rr,
     solve_rr_irls,
+    solve_stack,
 )
 
 __all__ = [
@@ -74,5 +75,5 @@ __all__ = [
     "pnorm_pow", "pnorm_r_hessian",
     "ProblemInstance", "SolveResult", "SolverConfig", "kkt_residual",
     "solve_bp", "solve_bp_l1", "solve_bpdn_eps", "solve_bpdn_eta", "solve_en",
-    "solve_instance", "solve_rr", "solve_rr_irls",
+    "solve_instance", "solve_rr", "solve_rr_irls", "solve_stack",
 ]

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import pnorm
+from . import pnorm, solvers
 from .ensembles import EnsembleSpec, derive_seed, gen_gaussian_instance, gen_sparse_measured, rng_for
 from .errors import InvalidInputError
 from .solvers import (
@@ -62,6 +62,8 @@ DEFAULT_SUPPORT_TOL = 1e-6
 DEFAULT_EPSILON_FRACTION = 0.1
 DEFAULT_ETA_FRACTION = 0.5
 RECOVERY_TOL = 1e-6
+STACKED_FAMILIES = ("bp", "rr", "en")  # solved as one stack per chunk
+CHUNK = 64  # trials per task and per stack: fixed, so records never depend on the worker count
 
 
 @dataclass(frozen=True)
@@ -82,18 +84,21 @@ def support(x, tol: float = DEFAULT_SUPPORT_TOL) -> SupportReport:
     """
     if not (0.0 <= tol < 1.0):
         raise InvalidInputError(f"support tol must lie in [0, 1), got {tol}")
-    arr = np.asarray(x, dtype=float).ravel()
-    amax = np.abs(arr).max(initial=0.0)
-    if amax == 0.0:
-        return SupportReport((), 0, 0.0, tol)
-    rel = np.abs(arr) / amax
+    return _support(_relative(x), tol)
+
+
+def _relative(x) -> np.ndarray:
+    """|x_i| / ||x||_inf, all zeros for x = 0."""
+    a = np.abs(np.asarray(x, dtype=float).ravel())
+    amax = a.max(initial=0.0)
+    return a / amax if amax > 0.0 else a
+
+
+def _support(rel: np.ndarray, tol: float) -> SupportReport:
     idx = np.flatnonzero(rel > tol)
-    return SupportReport(
-        indices=tuple(int(i) for i in idx),
-        size=int(idx.size),
-        min_rel_magnitude=float(rel[idx].min()),
-        tol_used=tol,
-    )
+    if not idx.size:
+        return SupportReport((), 0, 0.0, tol)
+    return SupportReport(tuple(idx.tolist()), int(idx.size), float(rel[idx].min()), tol)
 
 
 def check_lower_bound(report: SupportReport, m: int, N: int) -> bool:
@@ -285,13 +290,16 @@ def certified_full_support(inst: ProblemInstance, result: SolveResult,
     The certificate runs only for a converged result with a coordinate under
     the threshold.
     """
-    x = np.asarray(result.x, dtype=float).ravel()
-    rep = support(x, tol)
-    if rep.size == x.size:
+    return _certified(inst, result, support(result.x, tol))
+
+
+def _certified(inst: ProblemInstance, result: SolveResult, rep: SupportReport) -> bool:
+    n = inst.A.shape[1]
+    if rep.size == n:
         return True
     if result.status != CONVERGED:
         return False
-    below = np.ones(x.size, dtype=bool)
+    below = np.ones(n, dtype=bool)
     below[list(rep.indices)] = False
     return bool(certify_nonzero(inst, result)[below].all())
 
@@ -352,6 +360,7 @@ class TrialRecord:
     constraint_value: Optional[float] = None
     multiplier_value: Optional[float] = None
     recovered: Optional[bool] = None
+    error: Optional[str] = None  # "ExceptionType: message" of a status="error" trial
 
 
 @dataclass
@@ -417,91 +426,148 @@ def _aggregate(cfg: ExperimentConfig, records, recovery: bool) -> ExperimentStat
     return ExperimentStats(cells=cells, trials=list(records))
 
 
-def _failure_record(cfg, p, trial, seed, elapsed_ms) -> TrialRecord:
+def _failure_record(cfg, p, trial, seed, elapsed_ms, exc) -> TrialRecord:
     return TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
         support_size=0, min_rel_magnitude=0.0, kkt_residual=float("inf"),
         iterations=0, status="error", wall_time_ms=elapsed_ms,
+        error=f"{type(exc).__name__}: {exc}",
     )
 
 
-def _genericity_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRecord:
-    p = cfg.p_grid[p_index]
-    seed = derive_seed(cfg.master_seed, p_index, trial)
-    spec = EnsembleSpec(
-        m=cfg.m, N=cfg.N, seed=seed,
-        sparsity=cfg.sparsity, signal_values=cfg.signal_values,
-    )
-    start = time.perf_counter()
-    try:
-        if cfg.sparsity is not None:
-            A, y, _, _ = gen_sparse_measured(spec)
-        else:
-            A, y = gen_gaussian_instance(spec)
-        solver_cfg = SolverConfig()
-        target = None
-        if cfg.family == "bp":
-            inst = ProblemInstance(A, y, "bp", p=p)
-        elif cfg.family == "rr":
-            inst = ProblemInstance(A, y, "rr", p=p, lam=cfg.lam)
-        elif cfg.family == "en":
-            inst = ProblemInstance(A, y, "en", p=p, r=cfg.r, lam1=cfg.lam1, lam2=cfg.lam2)
-        elif cfg.family == "bpdn_eps":
-            frac = cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION
-            target = frac * float(np.linalg.norm(y))
-            inst = ProblemInstance(A, y, "bpdn_eps", p=p, eps=target)
-        elif cfg.family == "bpdn_eta":
-            frac = cfg.eta_fraction or DEFAULT_ETA_FRACTION
-            bp = solve_bp(A, y, p, solver_cfg)
-            target = frac * pnorm.pnorm(bp.x, p)
-            inst = ProblemInstance(A, y, "bpdn_eta", p=p, eta=target)
-        else:
-            raise InvalidInputError(
-                f"family {cfg.family!r} is not a genericity family {GENERICITY_FAMILIES}"
-            )
-        res = solve_instance(inst, solver_cfg)
-        kkt = kkt_residual(inst, res)
-    except InvalidInputError:
-        raise
-    except Exception:
-        return _failure_record(cfg, p, trial, seed, (time.perf_counter() - start) * 1e3)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
+def _spec(cfg: ExperimentConfig, seed: int) -> EnsembleSpec:
+    return EnsembleSpec(m=cfg.m, N=cfg.N, seed=seed,
+                        sparsity=cfg.sparsity, signal_values=cfg.signal_values)
 
-    rep = support(res.x, cfg.support_tol)
-    rep0 = support(res.x, 0.0)
-    certified = certified_full_support(inst, res, cfg.support_tol)
+
+def _draw(cfg: ExperimentConfig, p: float, seed: int, solver_cfg: SolverConfig):
+    """One genericity trial's instance and its constraint target (bpdn forms)."""
+    spec = _spec(cfg, seed)
+    if cfg.sparsity is not None:
+        A, y, _, _ = gen_sparse_measured(spec)
+    else:
+        A, y = gen_gaussian_instance(spec)
+    if cfg.family == "bp":
+        return ProblemInstance(A, y, "bp", p=p), None
+    if cfg.family == "rr":
+        return ProblemInstance(A, y, "rr", p=p, lam=cfg.lam), None
+    if cfg.family == "en":
+        return ProblemInstance(A, y, "en", p=p, r=cfg.r, lam1=cfg.lam1, lam2=cfg.lam2), None
+    if cfg.family == "bpdn_eps":
+        target = (cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION) * float(np.linalg.norm(y))
+        return ProblemInstance(A, y, "bpdn_eps", p=p, eps=target), target
+    if cfg.family == "bpdn_eta":
+        bp = solve_bp(A, y, p, solver_cfg)
+        target = (cfg.eta_fraction or DEFAULT_ETA_FRACTION) * pnorm.pnorm(bp.x, p)
+        return ProblemInstance(A, y, "bpdn_eta", p=p, eta=target), target
+    raise InvalidInputError(
+        f"family {cfg.family!r} is not a genericity family {GENERICITY_FAMILIES}"
+    )
+
+
+def _solve_all(cfg: ExperimentConfig, p: float, insts: list, solver_cfg: SolverConfig) -> list:
+    """(result or exception, solve ms) for each drawn instance; a failed draw passes through.
+
+    bp, rr and en are solved as one stack, each trial charged an equal share
+    of its time; the other families one by one.
+    """
+    out = [(inst, 0.0) for inst in insts]
+    ok = [k for k, inst in enumerate(insts) if not isinstance(inst, Exception)]
+    if not ok:
+        return out
+    if cfg.family in STACKED_FAMILIES:
+        params = {"bp": {}, "rr": {"lam": cfg.lam},
+                  "en": {"r": cfg.r, "lam1": cfg.lam1, "lam2": cfg.lam2}}[cfg.family]
+        start = time.perf_counter()
+        results = solvers.solve_stack(cfg.family, np.array([insts[k].A for k in ok]),
+                                      np.array([insts[k].y for k in ok]), p, solver_cfg, **params)
+        share = (time.perf_counter() - start) * 1e3 / len(ok)
+        for k, res in zip(ok, results):
+            out[k] = (res, share)
+        return out
+    for k in ok:
+        start = time.perf_counter()
+        try:
+            res = solve_instance(insts[k], solver_cfg)
+        except InvalidInputError:
+            raise
+        except Exception as exc:
+            res = exc
+        out[k] = (res, (time.perf_counter() - start) * 1e3)
+    return out
+
+
+def _genericity_record(cfg, p, trial, seed, inst, res, target) -> TrialRecord:
+    kkt = kkt_residual(inst, res)
+    rel = _relative(res.x)
+    rep = _support(rel, cfg.support_tol)
+    nonzero = rel[rel > 0.0]
     constraint_value = None
     multiplier_value = None
-    if cfg.family == "bpdn_eps":
-        constraint_value = float(np.linalg.norm(A @ res.x - y))
-        multiplier_value = float(res.multiplier) if res.multiplier is not None else None
-    elif cfg.family == "bpdn_eta":
-        constraint_value = pnorm.pnorm(res.x, p)
+    if cfg.family in ("bpdn_eps", "bpdn_eta"):
+        if cfg.family == "bpdn_eps":
+            constraint_value = float(np.linalg.norm(inst.A @ res.x - inst.y))
+        else:
+            constraint_value = pnorm.pnorm(res.x, p)
         multiplier_value = float(res.multiplier) if res.multiplier is not None else None
     return TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
         support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
         kkt_residual=kkt, iterations=res.iterations, status=res.status,
-        wall_time_ms=elapsed_ms,
+        wall_time_ms=0.0,
         full_support=rep.size == cfg.N,
-        full_support_certified=certified,
+        full_support_certified=_certified(inst, res, rep),
         lower_bound_ok=check_lower_bound(rep, cfg.m, cfg.N),
-        min_rel_nonzero=rep0.min_rel_magnitude,
+        min_rel_nonzero=float(nonzero.min()) if nonzero.size else 0.0,
         constraint_target=target, constraint_value=constraint_value,
         multiplier_value=multiplier_value,
     )
 
 
+def _genericity_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
+    """Trials lo..hi-1 at p_grid[p_index]: draw each, solve them together, measure each.
+
+    A trial whose draw, solve or measurement raises gets a status="error"
+    record that keeps the exception; the other trials are unaffected.
+    wall_time_ms is a trial's own draw and measurement time plus its share
+    of the solve.
+    """
+    p = cfg.p_grid[p_index]
+    solver_cfg = SolverConfig()
+    drawn = []
+    for trial in range(lo, hi):
+        seed = derive_seed(cfg.master_seed, p_index, trial)
+        start = time.perf_counter()
+        try:
+            inst, target = _draw(cfg, p, seed, solver_cfg)
+        except InvalidInputError:
+            raise
+        except Exception as exc:
+            inst, target = exc, None
+        drawn.append((trial, seed, inst, target, (time.perf_counter() - start) * 1e3))
+    solved = _solve_all(cfg, p, [d[2] for d in drawn], solver_cfg)
+    records = []
+    for (trial, seed, inst, target, draw_ms), (res, solve_ms) in zip(drawn, solved):
+        start = time.perf_counter()
+        try:
+            if isinstance(res, Exception):
+                raise res
+            rec = _genericity_record(cfg, p, trial, seed, inst, res, target)
+        except InvalidInputError:
+            raise
+        except Exception as exc:
+            rec = _failure_record(cfg, p, trial, seed, 0.0, exc)
+        rec.wall_time_ms = draw_ms + solve_ms + (time.perf_counter() - start) * 1e3
+        records.append(rec)
+    return records
+
+
 def _recovery_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRecord:
     p = cfg.p_grid[p_index]
     seed = derive_seed(cfg.master_seed, p_index, trial)
-    spec = EnsembleSpec(
-        m=cfg.m, N=cfg.N, seed=seed,
-        sparsity=cfg.sparsity, signal_values=cfg.signal_values,
-    )
     start = time.perf_counter()
     try:
-        A, y, x0, _ = gen_sparse_measured(spec)
+        A, y, x0, _ = gen_sparse_measured(_spec(cfg, seed))
         if cfg.family == "bp_l1":
             inst = ProblemInstance(A, y, "bp_l1")
         elif cfg.family == "rr_irls":
@@ -514,8 +580,8 @@ def _recovery_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRec
         kkt = kkt_residual(inst, res)
     except InvalidInputError:
         raise
-    except Exception:
-        return _failure_record(cfg, p, trial, seed, (time.perf_counter() - start) * 1e3)
+    except Exception as exc:
+        return _failure_record(cfg, p, trial, seed, (time.perf_counter() - start) * 1e3, exc)
     elapsed_ms = (time.perf_counter() - start) * 1e3
 
     rep = support(res.x, cfg.support_tol)
@@ -531,15 +597,24 @@ def _recovery_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRec
     )
 
 
-def _run_trials(trial_fn, cfg: ExperimentConfig, workers: int):
-    tasks = [(p_index, trial)
-             for p_index in range(len(cfg.p_grid))
-             for trial in range(cfg.trials)]
+def _recovery_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
+    return [_recovery_trial(cfg, p_index, trial) for trial in range(lo, hi)]
+
+
+def _run_trials(chunk_fn, cfg: ExperimentConfig, workers: int):
+    """Records of every (p_index, trial), in that order.
+
+    Tasks are chunks of at most CHUNK trials at one p, the same for every
+    worker count, so the records are too; the pool gets one task per chunk.
+    """
+    chunks = [(p_index, lo, min(lo + CHUNK, cfg.trials))
+              for p_index in range(len(cfg.p_grid))
+              for lo in range(0, cfg.trials, CHUNK)]
     if workers <= 1:
-        return [trial_fn(cfg, pi, t) for pi, t in tasks]
+        return [rec for c in chunks for rec in chunk_fn(cfg, *c)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(trial_fn, cfg, pi, t) for pi, t in tasks]
-        return [f.result() for f in futures]
+        futures = [pool.submit(chunk_fn, cfg, *c) for c in chunks]
+        return [rec for f in futures for rec in f.result()]
 
 
 def run_genericity_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
@@ -557,7 +632,7 @@ def run_genericity_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experi
         raise InvalidInputError("bp genericity requires N >= 2m - 1")
     if cfg.N < cfg.m:
         raise InvalidInputError("experiments require N >= m")
-    records = _run_trials(_genericity_trial, cfg, workers)
+    records = _run_trials(_genericity_chunk, cfg, workers)
     return _aggregate(cfg, records, recovery=False)
 
 
@@ -574,7 +649,7 @@ def run_recovery_comparison(cfg: ExperimentConfig, workers: int = 1) -> Experime
         raise InvalidInputError("recovery experiments need sparsity set")
     if cfg.family == "rr_irls" and any(not (0.0 < p < 1.0) for p in cfg.p_grid):
         raise InvalidInputError("rr_irls recovery requires 0 < p < 1 across the grid")
-    records = _run_trials(_recovery_trial, cfg, workers)
+    records = _run_trials(_recovery_chunk, cfg, workers)
     return _aggregate(cfg, records, recovery=True)
 
 

@@ -89,15 +89,48 @@ def _abs_pow_float(z: float, a: float) -> float:
 
 
 def _abs_pow(z: np.ndarray, a: float) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore"):
+        return _abs_pow_raw(z, a)
+
+
+def _abs_pow_raw(z: np.ndarray, a: float) -> np.ndarray:
+    """|z|^a as exp(a log|z|); the caller ignores overflow (saturating to inf) and log(0)."""
     if a == 0.0:
         return np.ones_like(z)
-    out = np.zeros_like(z)
-    nz = z != 0.0
-    if a < 0.0 and not np.all(nz):
+    az = np.abs(z)
+    if a < 0.0 and not az.all():
         raise SingularPointError("negative power of zero")
-    with np.errstate(over="ignore"):  # saturate to inf for astronomical powers
-        np.exp(a * np.log(np.abs(z, where=nz, out=np.ones_like(z))), where=nz, out=out)
-    return out
+    return np.exp(a * np.log(az))  # exp(a * -inf) = 0 at z = 0
+
+
+# Unchecked array kernels: the solvers' inner loops call these on stacks of
+# validated vectors; the public functions below validate, then call them.
+# Overflow saturates to inf without a warning, as in _abs_pow.
+
+def _g(z: np.ndarray, p: float) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore"):
+        return p * np.sign(z) * _abs_pow_raw(z, p - 1.0)
+
+
+def _h(z: np.ndarray, p: float) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.sign(z) * _abs_pow_raw(z / p, 1.0 / (p - 1.0))
+
+
+def _g_prime(z: np.ndarray, p: float) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore"):
+        return p * (p - 1.0) * _abs_pow_raw(z, p - 2.0)
+
+
+def _h_prime(z: np.ndarray, p: float) -> np.ndarray:
+    with np.errstate(over="ignore", divide="ignore"):
+        return _abs_pow_raw(z, (2.0 - p) / (p - 1.0)) / ((p - 1.0) * p ** (1.0 / (p - 1.0)))
+
+
+def _pow_sum(x: np.ndarray, p: float) -> np.ndarray:
+    """sum_i |x_i|^p along the last axis."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return _abs_pow_raw(x, p).sum(axis=-1)
 
 
 def abs_pow(z, a: float):
@@ -113,8 +146,7 @@ def abs_pow(z, a: float):
 def pnorm_pow(x, p: float) -> float:
     """f(x) = sum_i |x_i|^p for p > 0.  Nonnegative; zero iff x = 0."""
     p = _check_exponent(p)
-    arr = _as_finite_array(x)
-    return float(np.sum(_abs_pow(arr, p)))
+    return float(_pow_sum(_as_finite_array(x).ravel(), p))
 
 
 def pnorm(x, p: float) -> float:
@@ -131,8 +163,7 @@ def g_scalar(z, p: float):
     if isinstance(z, (int, float)):
         z = _finite_float(z)
         return p * _sign(z) * _abs_pow_float(z, p - 1.0)
-    z = _as_finite_array(z, "z")
-    out = p * np.sign(z) * _abs_pow(z, p - 1.0)
+    out = _g(_as_finite_array(z, "z"), p)
     return out if out.ndim else float(out)
 
 
@@ -142,8 +173,7 @@ def h_scalar(z, p: float):
     if isinstance(z, (int, float)):
         z = _finite_float(z)
         return _sign(z) * _abs_pow_float(z / p, 1.0 / (p - 1.0))
-    z = _as_finite_array(z, "z")
-    out = np.sign(z) * _abs_pow(z / p, 1.0 / (p - 1.0))
+    out = _h(_as_finite_array(z, "z"), p)
     return out if out.ndim else float(out)
 
 
@@ -160,7 +190,7 @@ def g_prime(z, p: float):
         raise UndefinedDerivativeError(f"g is not differentiable at 0 for p={p} < 2")
     if scalar:
         return p * (p - 1.0) * _abs_pow_float(z, p - 2.0)
-    out = p * (p - 1.0) * _abs_pow(z, p - 2.0)
+    out = _g_prime(z, p)
     return out if out.ndim else float(out)
 
 
@@ -173,19 +203,16 @@ def h_prime(z, p: float):
     p = _check_exponent(p)
     if not (1.0 < p <= 2.0):
         raise UnsupportedExponentError(f"h_prime requires 1 < p <= 2, got p={p}")
-    denom = (p - 1.0) * p ** (1.0 / (p - 1.0))
     if isinstance(z, (int, float)):
+        denom = (p - 1.0) * p ** (1.0 / (p - 1.0))
         return _abs_pow_float(_finite_float(z), (2.0 - p) / (p - 1.0)) / denom
-    z = _as_finite_array(z, "z")
-    out = _abs_pow(z, (2.0 - p) / (p - 1.0)) / denom
+    out = _h_prime(_as_finite_array(z, "z"), p)
     return out if out.ndim else float(out)
 
 
 def pnorm_grad(x, p: float) -> np.ndarray:
     """Gradient of f(x) = sum |x_i|^p: the componentwise g map."""
-    p = _require_p_gt1(p)
-    arr = _as_finite_array(x)
-    return p * np.sign(arr) * _abs_pow(arr, p - 1.0)
+    return _g(_as_finite_array(x), _require_p_gt1(p))
 
 
 def pnorm_r_hessian(x, p: float, r: float) -> np.ndarray:
@@ -205,8 +232,8 @@ def pnorm_r_hessian(x, p: float, r: float) -> np.ndarray:
     arr = _as_finite_array(x)
     if not np.any(arr):
         raise SingularPointError("Hessian of ||.||_p^r is undefined at x = 0")
-    fpow = float(np.sum(_abs_pow(arr, p)))
-    lam = p * (p - 1.0) * _abs_pow(arr, p - 2.0)
-    grad = p * np.sign(arr) * _abs_pow(arr, p - 1.0)
+    fpow = float(_pow_sum(arr, p))
+    lam = _g_prime(arr, p)
+    grad = _g(arr, p)
     core = np.diag(lam) + ((r - p) / (p * fpow)) * np.outer(grad, grad)
     return (r / p) * fpow ** ((r - p) / p) * core

@@ -20,10 +20,21 @@ map h and its globally defined derivative h' drive dual/fixed-point Newton
 iterations; for p >= 2 the derivative g' is globally defined and plain
 (primal) Newton systems are used.  A projected-gradient / first-order
 fallback covers line-search breakdowns.
+
+bp, rr and en run through one damped-Newton driver (_newton) over a stack
+of same-shape instances that share p and the parameters (solve_stack).
+Each of the six branches (bp dual and bp primal on null(A); rr residual
+and rr primal; en inverse-map and en primal) supplies its start point,
+stopping measure, Newton direction and merit; the driver keeps every
+per-instance state in arrays.  Every step works row by row, so an
+instance's result does not depend on the other instances of its stack:
+solve_bp, solve_rr and solve_en are stacks of one.  Validation happens at
+the public functions; the inner loops call unchecked pnorm kernels.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -45,6 +56,7 @@ __all__ = [
     "solve_bpdn_eta",
     "solve_bp_l1",
     "solve_rr_irls",
+    "solve_stack",
     "solve_instance",
     "kkt_residual",
 ]
@@ -153,15 +165,11 @@ def _require_p_gt1(p):
 
 
 def _gram_cho(A):
-    """Cholesky factor of A A^T, or None when A lacks full row rank."""
+    """Cholesky factor of A A^T, or None when A lacks full row rank (_full_rank)."""
     gram = A @ A.T
-    try:
-        c = scipy.linalg.cho_factor(gram, check_finite=False)
-    except scipy.linalg.LinAlgError:
+    if not _full_rank(gram[None])[0]:
         return None
-    if np.abs(np.diag(c[0])).min() ** 2 <= 1e-14 * max(np.abs(gram).max(), 1e-300):
-        return None
-    return c
+    return scipy.linalg.cho_factor(gram, check_finite=False)
 
 
 def _project(A, cho, y, x):
@@ -183,200 +191,422 @@ def _solve_shifted(M, rhs, scale):
     return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-class _StallGuard:
-    """Detects an iteration grinding at its floating-point floor.
+# ---------------------------------------------------------------------------
+# batched damped Newton: one driver, six branch steps
+# ---------------------------------------------------------------------------
 
-    Counts consecutive iterations whose residual fails to improve on the
-    best seen by even a fraction of a percent; a run of those means the
-    tolerance sits below what double precision can deliver here.
+_STALL_PATIENCE = 8  # iterations in a row without a _STALL_GAIN gain on the best residual
+_STALL_GAIN = 1e-3
+_LS_FLOOR = 1e-14    # smallest Armijo step tried
+_CHOLESKY_MIN = 64   # order from which _solve factors PSD systems one by one
+
+
+def _mv(A, x):
+    """A x for a stack of matrices and a stack of vectors."""
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def _tmv(A, w):
+    """A^T w for a stack of matrices and a stack of vectors."""
+    return np.matmul(w[..., None, :], A)[..., 0, :]
+
+
+def _dot(a, b):
+    return (a * b).sum(axis=-1)
+
+
+def _amax(a):
+    return np.abs(a).max(axis=-1)
+
+
+def _add_diag(J, v):
+    """J += diag(v) in place, for a stack of matrices and a stack of vectors (or a scalar)."""
+    n = J.shape[-1]
+    J.reshape(J.shape[:-2] + (n * n,))[..., ::n + 1] += v
+    return J
+
+
+def _solve(M, rhs, shift=True):
+    """Solve M[k] d[k] = rhs[k] for every slice of a stack; returns (d, failed).
+
+    Small systems are solved as one stack by LU.  When a slice is singular
+    each slice is solved alone, so a slice's answer never depends on the
+    others; a singular one is retried by _solve_shifted (symmetric PSD
+    systems, `shift`) or marked failed.  Symmetric PSD systems of order
+    _CHOLESKY_MIN or more go to _solve_shifted slice by slice: there a
+    Cholesky factorization, half the work of LU, outweighs the per-call cost
+    that one stacked call saves.
+    """
+    failed = np.zeros(len(M), dtype=bool)
+    n = M.shape[-1]
+    if shift and n >= _CHOLESKY_MIN:
+        return np.array([_solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
+                         for k in range(len(M))]), failed
+    try:
+        return np.linalg.solve(M, rhs[..., None])[..., 0], failed
+    except np.linalg.LinAlgError:
+        pass
+    d = np.zeros_like(rhs)
+    for k in range(len(M)):
+        try:
+            d[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
+        except np.linalg.LinAlgError:
+            if shift:
+                d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
+            else:
+                failed[k] = True
+    return d, failed
+
+
+def _full_rank(G):
+    """Per slice of a stack of Gram matrices A A^T: does A have full row rank?
+
+    The Cholesky factorization must succeed with its smallest pivot squared
+    above 1e-14 max |A A^T|.
+    """
+    try:
+        L = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        L = np.zeros_like(G)
+        for k in range(len(G)):
+            try:
+                L[k] = np.linalg.cholesky(G[k])
+            except np.linalg.LinAlgError:
+                pass
+    pivot = np.abs(np.diagonal(L, axis1=-2, axis2=-1)).min(axis=-1)
+    return pivot * pivot > 1e-14 * np.maximum(np.abs(G).max(axis=(-2, -1)), 1e-300)
+
+
+class _Stack:
+    """Instances of one family that share p and its parameters, stacked on axis 0.
+
+    Family classes define objective, gradient and solution (the SolveResults
+    of some rows); their branch subclasses add the Newton step that _newton
+    drives:
+
+      start()                    -> state: dict of per-instance arrays, with "merit"
+      measure(st)                -> (residual, scale) of the stopping and stall tests
+      direction(st)              -> (d, slope of the merit along d, failed rows or None)
+      trial(st, rows, step)      -> the state of `rows` moved by `step`
+      results(st, rows, it, ok)  -> SolveResults of `rows`
+      fallback(st, j, it)        -> SolveResult of row j from the first-order method
+
+    Every method works row by row: a row's numbers never depend on the
+    other rows, so a batch gives each instance the bits of its batch of one.
     """
 
-    def __init__(self, patience: int = 8):
-        self.best = np.inf
-        self.count = 0
-        self.patience = patience
+    stacked = ("A", "y")
+    patience = 1   # failed line searches in a row before the first-order fallback
+    slack = 1e-14  # Armijo allowance, relative to |merit|
 
-    def stalled(self, res_norm: float) -> bool:
-        if res_norm <= self.best * (1.0 - 1e-3):
-            self.count = 0
-        else:
-            self.count += 1
-        self.best = min(self.best, res_norm)
-        return self.count >= self.patience
+    def __init__(self, A, y, p, cfg):
+        self.A, self.y, self.p, self.cfg = A, y, p, cfg
+
+    @property
+    def size(self):
+        return len(self.A)
+
+    def take(self, rows):
+        new = copy.copy(self)
+        for name in self.stacked:
+            setattr(new, name, getattr(self, name)[rows])
+        return new
+
+
+def _newton(br, out):
+    """Damped Newton with Armijo backtracking on every instance of branch `br`.
+
+    All per-instance state lives in arrays; instances leave the batch when
+    they converge, stall (no _STALL_GAIN gain on their best residual in
+    _STALL_PATIENCE iterations), exhaust the budget, or fail `patience` line
+    searches in a row (they then finish alone in the first-order method).
+    Writes out[k] for instance k.
+    """
+    cfg = br.cfg
+    st = br.start()
+    n = br.size
+    st.update(row=np.arange(n), best=np.full(n, np.inf),
+              count=np.zeros(n, dtype=int), fails=np.zeros(n, dtype=int))
+    for it in range(cfg.max_iter + 1):
+        res, scale = br.measure(st)
+        done = res <= cfg.kkt_tol * scale
+        st["count"] = np.where(res <= st["best"] * (1.0 - _STALL_GAIN), 0, st["count"] + 1)
+        st["best"] = np.minimum(st["best"], res)
+        leave = done | (st["count"] >= _STALL_PATIENCE)
+        if it == cfg.max_iter:
+            leave[:] = True
+        if leave.any():
+            rows = np.flatnonzero(leave)
+            for k, r in zip(st["row"][rows], br.results(st, rows, it, done[rows])):
+                out[k] = r
+            if leave.all():
+                return
+            br, st = _keep(br, st, ~leave)
+        d, slope, failed = br.direction(st)
+        moved = _line_search(br, st, d, slope, failed)
+        if moved.all():
+            st["fails"][:] = 0
+            continue
+        st["fails"] = np.where(moved, 0, st["fails"] + 1)
+        fall = st["fails"] >= br.patience
+        if fall.any():
+            for j in np.flatnonzero(fall):
+                out[st["row"][j]] = br.fallback(st, j, it)
+            if fall.all():
+                return
+            br, st = _keep(br, st, ~fall)
+
+
+def _line_search(br, st, d, slope, failed):
+    """Armijo backtracking from t = 1 on every row not `failed`; moves st in place.
+
+    All rows still searching share one t.  Returns the mask of rows that moved.
+    """
+    cfg = br.cfg
+    moved = np.zeros(br.size, dtype=bool)
+    rows = None if failed is None else np.flatnonzero(~failed)  # None: every row
+    t = 1.0
+    while t >= _LS_FLOOR and (rows is None or rows.size):
+        at = slice(None) if rows is None else rows
+        new = br.trial(st, at, t * d[at])
+        merit = st["merit"][at]
+        bound = merit + cfg.ls_decrease * t * slope[at]
+        if br.slack:
+            bound = bound + br.slack * np.abs(merit)
+        ok = new["merit"] <= bound
+        if rows is None:
+            if ok.all():
+                st.update(new)
+                moved[:] = True
+                break
+            rows = np.arange(br.size)
+        for key, v in new.items():
+            st[key][rows[ok]] = v[ok]
+        moved[rows[ok]] = True
+        rows = rows[~ok]
+        t *= cfg.ls_shrink
+    return moved
+
+
+def _all_or(rows, n):
+    """rows (sorted, distinct) as an index: a slice when they are all n rows, so nothing is copied."""
+    return slice(None) if len(rows) == n else rows
+
+
+def _keep(br, st, keep):
+    if keep.all():
+        return br, st
+    return br.take(keep), {key: v[keep] for key, v in st.items()}
+
+
+def _run(br, out, rows):
+    """Solve the instances `rows` of br; out[rows[j]] gets the j-th result.
+
+    With algorithm="projected_gradient" each runs the first-order method
+    from the branch's start point; otherwise the Newton driver runs.
+    """
+    if not len(rows):
+        return
+    sub = [None] * len(rows)
+    if len(rows) < br.size:
+        br = br.take(rows)
+    if br.cfg.algorithm == "projected_gradient":
+        for j in range(len(rows)):
+            sub[j] = br.first_order(j, None, 0)
+    else:
+        _newton(br, sub)
+    for k, r in zip(rows, sub):
+        out[k] = r
+
+
+def _branch(family, p, algorithm):
+    """The branch class of `family` for `algorithm`: the first of
+    _BRANCHES[family] needs p <= 2 (h' global), the second p >= 2 (g' global)."""
+    low, high = _BRANCHES[family]
+    if algorithm == "auto":
+        return low if p < 2.0 else high
+    if algorithm == low.name:
+        if p > 2.0:
+            raise InvalidInputError(f"{low.name} requires 1 < p <= 2 (h' must be global)")
+        return low
+    if algorithm == high.name:
+        if p < 2.0:
+            raise InvalidInputError(f"{high.name} requires p >= 2 (g' must be global)")
+        return high
+    if algorithm == "projected_gradient":
+        return low
+    raise InvalidInputError(f"unknown algorithm {algorithm!r} for {family}")
 
 
 # ---------------------------------------------------------------------------
 # generalized basis pursuit
 # ---------------------------------------------------------------------------
 
-def solve_bp(A, y, p, cfg: SolverConfig | None = None) -> SolveResult:
-    """Minimize ||x||_p over A x = y for p > 1.
+class _Bp(_Stack):
+    stacked = ("A", "y", "G")
+    patience = 3
 
-    For 1 < p < 2 a damped Newton iteration runs on the dual residual
-    F(nu) = A h(A^T nu) - y whose Jacobian A diag(h'(a_i^T nu)) A^T is
-    positive semi-definite.  For p >= 2 a feasible-start Newton iteration
-    runs on the primal KKT system with the diagonal Hessian diag(g'(x_i)).
-    """
-    cfg = cfg or SolverConfig()
-    cfg.validate()
-    A, y = _validated(A, y)
-    p = _require_p_gt1(p)
+    def __init__(self, A, y, p, cfg):
+        super().__init__(A, y, p, cfg)
+        self.G = np.matmul(A, A.transpose(0, 2, 1))
 
-    if not np.any(y):
-        x = np.zeros(A.shape[1])
-        return SolveResult(x, np.zeros(A.shape[0]), 0.0, 0.0, 0, CONVERGED)
+    def least_norm(self):
+        return _tmv(self.A, _solve(self.G, self.y)[0])
 
-    cho = _gram_cho(A)
-    if cho is None:
-        x_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
-        if np.linalg.norm(A @ x_ls - y) > 1e-8 * (1.0 + np.linalg.norm(y)):
-            return SolveResult(
-                x=x_ls, multiplier=None, objective=pnorm.pnorm(x_ls, p),
-                kkt_residual=np.inf, iterations=0, status=INFEASIBLE,
-            )
-        raise RankDeficientError("A is rank deficient; BP solver requires full row rank")
+    def solution(self, rows, x, nu, iters, ok):
+        A, y, p = self.A[rows], self.y[rows], self.p
+        kkt = _amax(pnorm._g(x, p) - _tmv(A, nu)) + _amax(_mv(A, x) - y)
+        obj = pnorm._pow_sum(x, p) ** (1.0 / p)
+        return [SolveResult(x[j], nu[j], float(obj[j]), float(kkt[j]), iters,
+                            CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
-    algo = cfg.algorithm
-    if algo == "auto":
-        algo = "dual_newton" if p < 2.0 else "primal_dual_newton"
-    if algo == "dual_newton":
-        if p > 2.0:
-            raise InvalidInputError("dual_newton requires 1 < p <= 2 (h' must be global)")
-        return _bp_dual_newton(A, y, p, cfg, cho)
-    if algo == "primal_dual_newton":
-        if p < 2.0:
-            raise InvalidInputError("primal_dual_newton requires p >= 2 (g' must be global)")
-        return _bp_primal_newton(A, y, p, cfg, cho)
-    if algo == "projected_gradient":
-        x0 = A.T @ scipy.linalg.cho_solve(cho, y, check_finite=False)
-        return _bp_projected_gradient(A, y, p, cfg, cho, x0, 0)
-    raise InvalidInputError(f"unknown algorithm {algo!r} for bp")
+    def results(self, st, rows, it, ok):
+        return self.solution(rows, st["x"][rows], st["nu"][rows], it, ok)
+
+    def first_order(self, j, x0, iters):
+        one = self.take([j])
+        cho = _gram_cho(one.A[0])
+        if x0 is None:
+            x0 = one.A[0].T @ scipy.linalg.cho_solve(cho, one.y[0], check_finite=False)
+        return _bp_projected_gradient(one, cho, x0, iters)
 
 
-def _bp_wrap(A, y, p, x, nu, iters, status):
-    grad = pnorm.pnorm_grad(x, p)
-    return SolveResult(
-        x=x,
-        multiplier=nu,
-        objective=pnorm.pnorm(x, p),
-        kkt_residual=float(
-            np.abs(grad - A.T @ nu).max() + np.abs(A @ x - y).max()
-        ),
-        iterations=iters,
-        status=status,
-    )
+class _BpDual(_Bp):
+    """1 < p <= 2: Newton ascent on the concave dual in nu, whose gradient is
+    -F(nu) = y - A h(A^T nu) and whose negative Hessian A diag(h'(A^T nu)) A^T
+    is positive semi-definite."""
+
+    name = "dual_newton"
+    stacked = _Bp.stacked + ("ny",)
+
+    def __init__(self, A, y, p, cfg):
+        super().__init__(A, y, p, cfg)
+        self.ny = np.sqrt(_dot(y, y))
+
+    def _at(self, nu, rows):
+        s = _tmv(self.A[rows], nu)
+        conj = (self.p - 1.0) * pnorm._pow_sum(s / self.p, self.p / (self.p - 1.0))
+        return {"nu": nu, "s": s, "merit": conj - _dot(nu, self.y[rows])}  # minus the dual objective
+
+    def start(self):
+        # nu = kappa (A A^T)^-1 y with kappa maximizing the dual on that ray:
+        # the p = 2 solution (kappa = 2) there, and nu scales as y^(p-1)
+        # like the optimum when y is scaled
+        p = self.p
+        v = _solve(self.G, self.y)[0]
+        conj = (p - 1.0) * pnorm._pow_sum(_tmv(self.A, v) / p, p / (p - 1.0))
+        kappa = (_dot(v, self.y) / (p / (p - 1.0) * conj)) ** (p - 1.0)
+        return self._at(kappa[:, None] * v, slice(None))
+
+    def measure(self, st):
+        st["x"] = pnorm._h(st["s"], self.p)
+        st["F"] = _mv(self.A, st["x"]) - self.y
+        return np.sqrt(_dot(st["F"], st["F"])), self.ny
+
+    def direction(self, st):
+        F = st["F"]
+        gamma = pnorm._h_prime(st["s"], self.p)
+        Q = np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1))
+        d = _solve(Q, -F)[0]
+        ascent = -_dot(F, d)
+        flat = ascent <= 0.0  # not an ascent direction: take the dual gradient
+        if flat.any():
+            d[flat] = -F[flat]
+            ascent[flat] = _dot(F[flat], F[flat])
+        return d, -ascent, None
+
+    def trial(self, st, rows, step):
+        return self._at(st["nu"][rows] + step, rows)
+
+    def fallback(self, st, j, it):
+        return self.first_order(j, None, it)
 
 
-def _bp_dual_conj(s, p):
-    # convex conjugate of |.|^p, evaluated elementwise: (p-1) |s/p|^(p/(p-1))
-    return (p - 1.0) * pnorm.abs_pow(np.asarray(s) / p, p / (p - 1.0))
+class _BpPrimal(_Bp):
+    """p >= 2: feasible Newton on the primal KKT system, eliminated onto
+    null(A).  Iterates step only along an orthonormal null-space basis Z, so
+    they stay exactly feasible; the reduced Newton matrix is
+    Z^T diag(g'(x)) Z, with a shift relative to max g'(x) when some g'(x_i)
+    sits near zero."""
+
+    name = "primal_dual_newton"
+    stacked = _Bp.stacked + ("Z",)
+
+    def __init__(self, A, y, p, cfg):
+        super().__init__(A, y, p, cfg)
+        m = A.shape[1]
+        self.Z = np.linalg.svd(A)[2][:, m:, :].transpose(0, 2, 1)
+
+    def start(self):
+        x = self.least_norm()
+        return {"x": x, "merit": pnorm._pow_sum(x, self.p)}
+
+    def measure(self, st):
+        grad = st["grad"] = pnorm._g(st["x"], self.p)
+        st["nu"] = _solve(self.G, _mv(self.A, grad))[0]
+        return _amax(grad - _tmv(self.A, st["nu"])), _amax(grad)
+
+    def direction(self, st):
+        grad, Z = st["grad"], self.Z
+        lam = pnorm._g_prime(st["x"], self.p)
+        floor = _TIKHONOV * lam.max(axis=-1)
+        lam = np.where((lam.min(axis=-1) < floor)[:, None], lam + floor[:, None], lam)
+        Zt = Z.transpose(0, 2, 1)
+        du = _solve(np.matmul(Zt * lam[:, None, :], Z), -_mv(Zt, grad))[0]
+        dx = _mv(Z, du)
+        slope = _dot(grad, dx)
+        flat = slope >= 0.0  # not a descent direction: take the projected gradient
+        if flat.any():
+            dx[flat] = -_mv(Z[flat], _mv(Zt[flat], grad[flat]))
+            slope[flat] = _dot(grad[flat], dx[flat])
+        return dx, slope, None
+
+    def trial(self, st, rows, step):
+        x = st["x"][rows] + step
+        return {"x": x, "merit": pnorm._pow_sum(x, self.p)}
+
+    def fallback(self, st, j, it):
+        return self.first_order(j, st["x"][j], it)
 
 
-def _bp_dual_newton(A, y, p, cfg, cho):
-    m = A.shape[0]
-    ny = np.linalg.norm(y)
-    nu = 2.0 * scipy.linalg.cho_solve(cho, y, check_finite=False)
-
-    def dual_obj(v):
-        return float(v @ y - np.sum(_bp_dual_conj(A.T @ v, p)))
-
-    q = dual_obj(nu)
-    fails = 0
-    guard = _StallGuard()
-    for it in range(cfg.max_iter):
-        s = A.T @ nu
-        x = pnorm.h_scalar(s, p)
-        F = A @ x - y
-        if np.linalg.norm(F) <= cfg.kkt_tol * ny:
-            return _bp_wrap(A, y, p, x, nu, it, CONVERGED)
-        if guard.stalled(float(np.linalg.norm(F))):
-            return _bp_wrap(A, y, p, x, nu, it, MAX_ITER)
-        gamma = pnorm.h_prime(s, p)
-        Q = (A * gamma) @ A.T
-        d = _solve_shifted(Q, -F, np.trace(Q) / m)
-        slope = float(-F @ d)
-        if slope <= 0.0:
-            d = -F  # gradient ascent on the dual
-            slope = float(F @ F)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            q_new = dual_obj(nu + t * d)
-            if q_new >= q + cfg.ls_decrease * t * slope - 1e-14 * (1.0 + abs(q)):
-                nu = nu + t * d
-                q = q_new
-                accepted = True
-                break
-            t *= cfg.ls_shrink
-        if not accepted:
-            fails += 1
-            if fails >= 3:
-                x0 = A.T @ scipy.linalg.cho_solve(cho, y, check_finite=False)
-                return _bp_projected_gradient(A, y, p, cfg, cho, x0, it)
+def _bp_stack(branch, A, y, p, cfg):
+    """bp on a stack of finite instances: one entry per instance, a SolveResult or an exception."""
+    B, m, N = A.shape
+    out = [None] * B
+    zero = ~np.any(y, axis=1)
+    for k in np.flatnonzero(zero):
+        out[k] = SolveResult(np.zeros(N), np.zeros(m), 0.0, 0.0, 0, CONVERGED)
+    rows = np.flatnonzero(~zero)
+    if not rows.size:
+        return out
+    sel = _all_or(rows, B)
+    br = branch(A[sel], y[sel], p, cfg)
+    rank = _full_rank(br.G)
+    for j in np.flatnonzero(~rank):
+        x_ls = np.linalg.lstsq(A[rows[j]], y[rows[j]], rcond=None)[0]
+        if np.linalg.norm(A[rows[j]] @ x_ls - y[rows[j]]) > 1e-8 * (1.0 + np.linalg.norm(y[rows[j]])):
+            out[rows[j]] = SolveResult(x_ls, None, pnorm.pnorm(x_ls, p), np.inf, 0, INFEASIBLE)
         else:
-            fails = 0
-    s = A.T @ nu
-    x = pnorm.h_scalar(s, p)
-    return _bp_wrap(A, y, p, x, nu, cfg.max_iter, MAX_ITER)
+            out[rows[j]] = RankDeficientError(
+                "A is rank deficient; BP solver requires full row rank")
+    if branch is _BpPrimal and N == m and rank.any():
+        # square invertible systems: the feasible point is the solution
+        sq = br.take(rank)
+        st = sq.start()
+        sq.measure(st)
+        for k, r in zip(rows[rank], sq.results(st, np.arange(sq.size), 0, np.ones(sq.size, bool))):
+            out[k] = r
+        return out
+    sub = [None] * int(rank.sum())
+    _run(br, sub, np.flatnonzero(rank))
+    for k, r in zip(rows[rank], sub):
+        out[k] = r
+    return out
 
 
-def _bp_primal_newton(A, y, p, cfg, cho):
-    """Feasible Newton on the primal KKT system, eliminated onto null(A).
-
-    Iterates are kept exactly feasible by stepping only along an
-    orthonormal null-space basis Z of A; the Newton system on the reduced
-    variable has the matrix Z^T diag(g'(x_i)) Z, shifted when iterates sit
-    near zero.
-    """
-    x = A.T @ scipy.linalg.cho_solve(cho, y, check_finite=False)
-    Z = scipy.linalg.null_space(A)
-    if Z.shape[1] == 0:
-        # square invertible system: the feasible point is the solution
-        nu = scipy.linalg.cho_solve(cho, A @ pnorm.pnorm_grad(x, p), check_finite=False)
-        return _bp_wrap(A, y, p, x, nu, 0, CONVERGED)
-    fx = pnorm.pnorm_pow(x, p)
-    fails = 0
-    guard = _StallGuard()
-    nu = np.zeros(A.shape[0])
-    for it in range(cfg.max_iter):
-        grad = pnorm.pnorm_grad(x, p)
-        nu = scipy.linalg.cho_solve(cho, A @ grad, check_finite=False)
-        resid = grad - A.T @ nu
-        if np.abs(resid).max() <= cfg.kkt_tol * (1.0 + np.abs(grad).max()):
-            return _bp_wrap(A, y, p, x, nu, it, CONVERGED)
-        if guard.stalled(float(np.abs(resid).max())):
-            return _bp_wrap(A, y, p, x, nu, it, MAX_ITER)
-        lam = pnorm.g_prime(x, p)
-        if lam.min() < _TIKHONOV:
-            lam = lam + _TIKHONOV
-        H = (Z * lam[:, None]).T @ Z
-        du = _solve_shifted(H, -(Z.T @ grad), np.trace(H) / H.shape[0])
-        dx = Z @ du
-        slope = float(grad @ dx)
-        if slope >= 0.0:
-            dx = -Z @ (Z.T @ grad)
-            slope = float(grad @ dx)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            x_new = x + t * dx
-            f_new = pnorm.pnorm_pow(x_new, p)
-            if f_new <= fx + cfg.ls_decrease * t * slope + 1e-14 * (1.0 + abs(fx)):
-                x, fx = x_new, f_new
-                accepted = True
-                break
-            t *= cfg.ls_shrink
-        if not accepted:
-            fails += 1
-            if fails >= 3:
-                return _bp_projected_gradient(A, y, p, cfg, cho, x, it)
-        else:
-            fails = 0
-    return _bp_wrap(A, y, p, x, nu, cfg.max_iter, MAX_ITER)
-
-
-def _bp_projected_gradient(A, y, p, cfg, cho, x0, iters_used):
-    """Gradient steps projected onto {Ax = y}, with BB trial step and Armijo."""
+def _bp_projected_gradient(one, cho, x0, iters_used):
+    """Gradient steps projected onto {Ax = y}, with BB trial step and Armijo, on one instance."""
+    A, y, p, cfg = one.A[0], one.y[0], one.p, one.cfg
     x = _project(A, cho, y, x0)
     fx = pnorm.pnorm_pow(x, p)
 
@@ -384,15 +614,18 @@ def _bp_projected_gradient(A, y, p, cfg, cho, x0, iters_used):
         grad = pnorm.pnorm_grad(v, p)
         return grad, grad - A.T @ scipy.linalg.cho_solve(cho, A @ grad, check_finite=False)
 
+    def wrap(v, iters, ok):
+        nu = scipy.linalg.cho_solve(cho, A @ pnorm.pnorm_grad(v, p), check_finite=False)
+        return one.solution([0], v[None], nu[None], iters, [ok])[0]
+
     grad, pg = proj_grad(x)
     t = 1.0 / max(float(np.abs(pg).max()), 1.0)
     x_prev = None
     pg_prev = None
     it = 0
     for it in range(cfg.max_iter_first_order):
-        if np.abs(pg).max() <= cfg.kkt_tol * (1.0 + np.abs(grad).max()):
-            nu = scipy.linalg.cho_solve(cho, A @ grad, check_finite=False)
-            return _bp_wrap(A, y, p, x, nu, iters_used + it, CONVERGED)
+        if np.abs(pg).max() <= cfg.kkt_tol * np.abs(grad).max():
+            return wrap(x, iters_used + it, True)
         if x_prev is not None:
             s = x - x_prev
             sg = pg - pg_prev
@@ -405,7 +638,7 @@ def _bp_projected_gradient(A, y, p, cfg, cho, x0, iters_used):
         while tt >= 1e-18:
             x_new = x - tt * pg
             f_new = pnorm.pnorm_pow(x_new, p)
-            if f_new <= fx - cfg.ls_decrease * tt * pg2 + 1e-14 * (1.0 + abs(fx)):
+            if f_new <= fx - cfg.ls_decrease * tt * pg2 + 1e-14 * abs(fx):
                 x_prev, pg_prev = x, pg
                 x, fx = x_new, f_new
                 grad, pg = proj_grad(x)
@@ -414,13 +647,149 @@ def _bp_projected_gradient(A, y, p, cfg, cho, x0, iters_used):
             tt *= cfg.ls_shrink
         if not accepted:
             break
-    nu = scipy.linalg.cho_solve(cho, A @ pnorm.pnorm_grad(x, p), check_finite=False)
-    return _bp_wrap(A, y, p, x, nu, iters_used + it + 1, MAX_ITER)
+    return wrap(x, iters_used + it + 1, False)
+
+
+def solve_bp(A, y, p, cfg: SolverConfig | None = None) -> SolveResult:
+    """Minimize ||x||_p over A x = y for p > 1.
+
+    For 1 < p < 2 a damped Newton iteration runs on the dual residual
+    F(nu) = A h(A^T nu) - y whose Jacobian A diag(h'(a_i^T nu)) A^T is
+    positive semi-definite.  For p >= 2 a feasible-start Newton iteration
+    runs on the primal KKT system with the diagonal Hessian diag(g'(x_i)).
+    A batch of one through the stacked driver (see solve_stack).
+    """
+    return _raised(solve_stack("bp", *_one(A, y), p, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
 # generalized ridge regression
 # ---------------------------------------------------------------------------
+
+class _Smooth(_Stack):
+    """rr and en: a smooth objective, stationarity (kkt) as the max-norm of
+    its gradient, and BB first-order descent as the fallback."""
+
+    def solution(self, rows, x, iters, ok):
+        obj = self.objective(x, rows)
+        kkt = _amax(self.gradient(x, rows))
+        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), iters,
+                            CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
+
+    def measure(self, st):
+        st["G"] = self.gradient(st["x"])
+        return _amax(st["G"]), self.scale
+
+    def results(self, st, rows, it, ok):
+        return self.solution(rows, st["x"][rows], it, ok)
+
+    def first_order(self, j, x0, iters):
+        return _first_order(self.take([j]), self.x0[j] if x0 is None else x0, iters)
+
+    def fallback(self, st, j, it):
+        return self.first_order(j, st["x"][j], it)
+
+
+class _Rr(_Smooth):
+    stacked = ("A", "y", "scale", "x0")
+
+    def __init__(self, A, y, p, cfg, lam, warm):
+        super().__init__(A, y, p, cfg)
+        self.lam = lam
+        self.scale = _amax(_tmv(A, y))
+        if warm is None:  # the p = 2 solution at twice lam
+            AtA = np.matmul(A.transpose(0, 2, 1), A)
+            warm = _solve(_add_diag(AtA, 2.0 * lam), _tmv(A, y))[0]
+        self.x0 = warm
+
+    def objective(self, x, rows=slice(None)):
+        r = _mv(self.A[rows], x) - self.y[rows]
+        return 0.5 * _dot(r, r) + self.lam * pnorm._pow_sum(x, self.p)
+
+    def gradient(self, x, rows=slice(None)):
+        A = self.A[rows]
+        return _tmv(A, _mv(A, x) - self.y[rows]) + self.lam * pnorm._g(x, self.p)
+
+
+class _RrResidual(_Rr):
+    """1 < p <= 2: the fixed-point form x = -h(A^T (A x - y) / lam), solved by
+    Newton in the residual w = y - A x; its Jacobian I + A diag(h'/lam) A^T
+    is symmetric positive definite.  The merit is |G(w)|^2."""
+
+    name = "fixed_point"
+    slack = 0.0
+
+    def _at(self, w, rows):
+        A = self.A[rows]
+        s = _tmv(A, w) / self.lam
+        x = pnorm._h(s, self.p)
+        G = w - self.y[rows] + _mv(A, x)
+        return {"w": w, "s": s, "x": x, "G": G, "merit": _dot(G, G)}
+
+    def start(self):
+        return self._at(self.y - _mv(self.A, self.x0), slice(None))
+
+    def measure(self, st):
+        return _amax(_tmv(self.A, st["G"])), self.scale
+
+    def direction(self, st):
+        gamma = pnorm._h_prime(st["s"], self.p) / self.lam
+        J = _add_diag(np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1)), 1.0)
+        return _solve(J, -st["G"])[0], -st["merit"], None
+
+    def trial(self, st, rows, step):
+        return self._at(st["w"][rows] + step, rows)
+
+
+class _RrPrimal(_Rr):
+    """p >= 2: Newton on the stationarity system, matrix A^T A + lam diag(g'(x))."""
+
+    name = "primal_dual_newton"
+    stacked = _Rr.stacked + ("AtA",)
+
+    def __init__(self, A, y, p, cfg, lam, warm):
+        super().__init__(A, y, p, cfg, lam, warm)
+        self.AtA = np.matmul(A.transpose(0, 2, 1), A)
+
+    def start(self):
+        return {"x": self.x0.copy(), "merit": self.objective(self.x0)}
+
+    def direction(self, st):
+        G = st["G"]
+        d = _solve(_add_diag(self.AtA.copy(), self.lam * pnorm._g_prime(st["x"], self.p)), -G)[0]
+        return _descent(G, d)
+
+    def trial(self, st, rows, step):
+        x = st["x"][rows] + step
+        return {"x": x, "merit": self.objective(x, rows)}
+
+
+def _descent(G, d):
+    """(d, slope), with -G in place of d where d is not a descent direction."""
+    slope = _dot(G, d)
+    flat = slope >= 0.0
+    if flat.any():
+        d[flat] = -G[flat]
+        slope[flat] = -_dot(G[flat], G[flat])
+    return d, slope, None
+
+
+def _rr_stack(branch, A, y, p, cfg, lam, warm=None):
+    B, m, N = A.shape
+    out = [None] * B
+    zero = ~np.any(_tmv(A, y), axis=1)
+    for k in np.flatnonzero(zero):
+        out[k] = SolveResult(np.zeros(N), None, 0.5 * float(y[k] @ y[k]), 0.0, 0, CONVERGED)
+    rows = np.flatnonzero(~zero)
+    if rows.size:
+        sel = _all_or(rows, B)
+        br = branch(A[sel], y[sel], p, cfg, lam, None if warm is None else warm[sel])
+        sub = [None] * rows.size
+        _run(br, sub, np.arange(rows.size))
+        for k, r in zip(rows, sub):
+            out[k] = r
+    return out
+
 
 def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimize 0.5 ||A x - y||_2^2 + lam ||x||_p^p for p > 1, lam > 0.
@@ -429,161 +798,48 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     equivalent fixed-point form x_i = -h(a_i^T (A x - y) / lam) is solved by
     a damped Newton iteration in the residual variable w = y - A x, whose
     Jacobian I + lam^{-1} A diag(h') A^T is symmetric positive definite.
-    For p >= 2 plain Newton runs on the stationarity system.
+    For p >= 2 plain Newton runs on the stationarity system.  A batch of one
+    through the stacked driver (see solve_stack).
     """
-    cfg = cfg or SolverConfig()
-    cfg.validate()
-    A, y = _validated(A, y)
-    p = _require_p_gt1(p)
-    lam = float(lam)
-    if lam <= 0:
-        raise InvalidInputError(f"rr requires lam > 0, got {lam}")
-    return _rr_core(A, y, p, lam, cfg, None)
+    return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
 def _rr_core(A, y, p, lam, cfg, warm) -> SolveResult:
-    aty = A.T @ y
-    if not np.any(aty):
-        return SolveResult(np.zeros(A.shape[1]), None, 0.5 * float(y @ y), 0.0, 0, CONVERGED)
-    algo = cfg.algorithm
-    if algo == "auto":
-        algo = "fixed_point" if p < 2.0 else "primal_dual_newton"
-    if algo == "fixed_point":
-        if p > 2.0:
-            raise InvalidInputError("fixed_point requires 1 < p <= 2 (h' must be global)")
-        return _rr_residual_newton(A, y, p, lam, cfg, warm)
-    if algo == "primal_dual_newton":
-        if p < 2.0:
-            raise InvalidInputError("primal_dual_newton requires p >= 2 (g' must be global)")
-        return _rr_primal_newton(A, y, p, lam, cfg, warm)
-    if algo == "projected_gradient":
-        obj = lambda x: 0.5 * float(np.sum((A @ x - y) ** 2)) + lam * pnorm.pnorm_pow(x, p)
-        grad = lambda x: A.T @ (A @ x - y) + lam * pnorm.pnorm_grad(x, p)
-        x0 = warm if warm is not None else _ridge2_start(A, y, lam)
-        return _first_order(A, y, obj, grad, x0, cfg, _rr_result(A, y, p, lam))
-    raise InvalidInputError(f"unknown algorithm {algo!r} for rr")
+    """rr on one validated instance from an optional warm start: the inner solve of the bpdn path."""
+    out = _rr_stack(_branch("rr", p, cfg.algorithm), A[None], y[None], p, cfg, lam,
+                    None if warm is None else warm[None])
+    return _raised(out[0])
 
 
-def _ridge2_start(A, y, lam):
-    n = A.shape[1]
-    return _solve_shifted(A.T @ A + 2.0 * lam * np.eye(n), A.T @ y, 1.0)
-
-
-def _rr_result(A, y, p, lam):
-    def wrap(x, iters, status):
-        resid = A @ x - y
-        station = A.T @ resid + lam * pnorm.pnorm_grad(x, p)
-        return SolveResult(
-            x=x,
-            multiplier=None,
-            objective=0.5 * float(resid @ resid) + lam * pnorm.pnorm_pow(x, p),
-            kkt_residual=float(np.abs(station).max()),
-            iterations=iters,
-            status=status,
-        )
-    return wrap
-
-
-def _rr_residual_newton(A, y, p, lam, cfg, warm):
-    wrap = _rr_result(A, y, p, lam)
-    scale = np.abs(A.T @ y).max()
-    m = A.shape[0]
-    x0 = warm if warm is not None else _ridge2_start(A, y, lam)
-    w = y - A @ x0
-
-    def residual(wv):
-        s = (A.T @ wv) / lam
-        x = pnorm.h_scalar(s, p)
-        return x, s, wv - y + A @ x
-
-    x, s, G = residual(w)
-    merit = float(G @ G)
-    guard = _StallGuard()
-    for it in range(cfg.max_iter):
-        station = float(np.abs(A.T @ G).max())
-        if station <= cfg.kkt_tol * scale:
-            return wrap(x, it, CONVERGED)
-        if guard.stalled(station):
-            return wrap(x, it, MAX_ITER)
-        gamma = pnorm.h_prime(s, p) / lam
-        J = np.eye(m) + (A * gamma) @ A.T
-        d = _solve_shifted(J, -G, np.trace(J) / m)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            w_new = w + t * d
-            x_new, s_new, G_new = residual(w_new)
-            m_new = float(G_new @ G_new)
-            if m_new <= merit - cfg.ls_decrease * t * merit:
-                w, x, s, G, merit = w_new, x_new, s_new, G_new, m_new
-                accepted = True
-                break
-            t *= cfg.ls_shrink
-        if not accepted:
-            obj = lambda x: 0.5 * float(np.sum((A @ x - y) ** 2)) + lam * pnorm.pnorm_pow(x, p)
-            grad = lambda x: A.T @ (A @ x - y) + lam * pnorm.pnorm_grad(x, p)
-            return _first_order(A, y, obj, grad, x, cfg, wrap, it)
-    return wrap(x, cfg.max_iter, MAX_ITER)
-
-
-def _rr_primal_newton(A, y, p, lam, cfg, warm):
-    wrap = _rr_result(A, y, p, lam)
-    n = A.shape[1]
-    scale = np.abs(A.T @ y).max()
-    AtA = A.T @ A
-    x = warm if warm is not None else _ridge2_start(A, y, lam)
-
-    def objective(v):
-        return 0.5 * float(np.sum((A @ v - y) ** 2)) + lam * pnorm.pnorm_pow(v, p)
-
-    fx = objective(x)
-    guard = _StallGuard()
-    for it in range(cfg.max_iter):
-        G = A.T @ (A @ x - y) + lam * pnorm.pnorm_grad(x, p)
-        gnorm = float(np.abs(G).max())
-        if gnorm <= cfg.kkt_tol * scale:
-            return wrap(x, it, CONVERGED)
-        if guard.stalled(gnorm):
-            return wrap(x, it, MAX_ITER)
-        J = AtA + np.diag(lam * pnorm.g_prime(x, p))
-        d = _solve_shifted(J, -G, np.trace(J) / n)
-        slope = float(G @ d)
-        if slope >= 0.0:
-            d, slope = -G, -float(G @ G)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            x_new = x + t * d
-            f_new = objective(x_new)
-            if f_new <= fx + cfg.ls_decrease * t * slope + 1e-14 * (1.0 + abs(fx)):
-                x, fx = x_new, f_new
-                accepted = True
-                break
-            t *= cfg.ls_shrink
-        if not accepted:
-            grad = lambda v: A.T @ (A @ v - y) + lam * pnorm.pnorm_grad(v, p)
-            return _first_order(A, y, objective, grad, x, cfg, wrap, it)
-    return wrap(x, cfg.max_iter, MAX_ITER)
-
-
-def _first_order(A, y, obj, grad, x0, cfg, wrap, iters_used=0):
-    """Barzilai-Borwein gradient descent with a nonmonotone Armijo safeguard.
+def _first_order(one, x0, iters_used=0):
+    """Barzilai-Borwein gradient descent with a nonmonotone Armijo safeguard, on one instance.
 
     The sufficient-decrease test compares against the worst of the last ten
     accepted objective values (Grippo style), which lets the BB step keep
     its fast asymptotic behavior.
     """
-    x = np.asarray(x0, dtype=float).copy()
+    cfg = one.cfg
+
+    def obj(v):
+        return float(one.objective(v[None])[0])
+
+    def grad(v):
+        return one.gradient(v[None])[0]
+
+    def wrap(v, iters, ok):
+        return one.solution([0], v[None], iters, [ok])[0]
+
+    x = np.array(x0, dtype=float)
     fx = obj(x)
     g = grad(x)
-    scale = np.abs(A.T @ y).max()
+    scale = float(one.scale[0])
     t = 1.0 / max(float(np.abs(g).max()), 1.0)
     x_prev = None
     g_prev = None
     recent = [fx]
     for it in range(cfg.max_iter_first_order):
         if np.abs(g).max() <= cfg.kkt_tol * scale:
-            return wrap(x, iters_used + it, CONVERGED)
+            return wrap(x, iters_used + it, True)
         if x_prev is not None:
             sx = x - x_prev
             sg = g - g_prev
@@ -597,7 +853,7 @@ def _first_order(A, y, obj, grad, x0, cfg, wrap, iters_used=0):
         while tt >= 1e-18:
             x_new = x - tt * g
             f_new = obj(x_new)
-            if f_new <= f_ref - cfg.ls_decrease * tt * gnorm2 + 1e-14 * (1.0 + abs(f_ref)):
+            if f_new <= f_ref - cfg.ls_decrease * tt * gnorm2 + 1e-14 * abs(f_ref):
                 x_prev, g_prev = x, g
                 x, fx = x_new, f_new
                 g = grad(x)
@@ -608,13 +864,122 @@ def _first_order(A, y, obj, grad, x0, cfg, wrap, iters_used=0):
                 break
             tt *= cfg.ls_shrink
         if not accepted:
-            return wrap(x, iters_used + it, MAX_ITER)
-    return wrap(x, iters_used + cfg.max_iter_first_order, MAX_ITER)
+            return wrap(x, iters_used + it, False)
+    return wrap(x, iters_used + cfg.max_iter_first_order, False)
 
 
 # ---------------------------------------------------------------------------
 # generalized elastic net
 # ---------------------------------------------------------------------------
+
+class _En(_Smooth):
+    stacked = ("A", "y", "AtA", "aty", "scale", "x0")
+
+    def __init__(self, A, y, p, cfg, r, lam1, lam2):
+        super().__init__(A, y, p, cfg)
+        self.r, self.lam1, self.lam2 = r, lam1, lam2
+        self.AtA = np.matmul(A.transpose(0, 2, 1), A)
+        self.aty = _tmv(A, y)
+        self.scale = _amax(self.aty)
+        self.x0 = _solve(_add_diag(self.AtA.copy(), 2.0 * (lam1 + lam2)), self.aty)[0]
+
+    def _coef(self, fpow):
+        """(r lam1 / p) ||x||_p^(r-p) from fpow = ||x||_p^p; 0 at x = 0."""
+        nz = fpow > 0.0
+        return np.where(nz, (self.r * self.lam1 / self.p)
+                        * np.where(nz, fpow, 1.0) ** ((self.r - self.p) / self.p), 0.0)
+
+    def objective(self, x, rows=slice(None)):
+        res = _mv(self.A[rows], x) - self.y[rows]
+        norm_r = (pnorm._pow_sum(x, self.p) ** (1.0 / self.p)) ** self.r
+        return 0.5 * _dot(res, res) + self.lam1 * norm_r + self.lam2 * _dot(x, x)
+
+    def gradient(self, x, rows=slice(None)):
+        A = self.A[rows]
+        base = _tmv(A, _mv(A, x) - self.y[rows]) + 2.0 * self.lam2 * x
+        return base + self._coef(pnorm._pow_sum(x, self.p))[:, None] * pnorm._g(x, self.p)
+
+
+class _EnInverse(_En):
+    """1 < p <= 2: Newton on the inverse-map form Psi(x) = x + h(w(x)) = 0 of
+    the stationarity, with w_i = p ||x||_p^(p-r) (a_i^T (Ax - y) + 2 lam2 x_i)
+    / (r lam1).  Psi is continuously differentiable wherever x != 0 (the
+    crossing of a coordinate through zero is smooth, unlike the x-space
+    Hessian, which blows up).  The merit is |Psi|."""
+
+    name = "fixed_point"
+
+    def _at(self, x, rows):
+        p, r = self.p, self.r
+        fpow = pnorm._pow_sum(x, p)
+        npow = fpow ** ((p - r) / p)  # ||x||_p^(p-r)
+        base = _mv(self.AtA[rows], x) - self.aty[rows] + 2.0 * self.lam2 * x
+        w = (p / (r * self.lam1)) * npow[:, None] * base
+        psi = x + pnorm._h(w, p)
+        return {"x": x, "fpow": fpow, "npow": npow, "base": base, "w": w, "psi": psi,
+                "merit": np.sqrt(_dot(psi, psi))}
+
+    def start(self):
+        return self._at(self.x0.copy(), slice(None))
+
+    def direction(self, st):
+        p, r, x = self.p, self.r, st["x"]
+        gamma = pnorm._h_prime(st["w"], p)
+        grad_npow = ((p - r) / p * pnorm._g(x, p)
+                     / np.maximum(st["fpow"] ** (r / p), 1e-300)[:, None])
+        inner = (st["base"][:, :, None] * grad_npow[:, None, :]
+                 + st["npow"][:, None, None] * _add_diag(self.AtA.copy(), 2.0 * self.lam2))
+        J = _add_diag((p / (r * self.lam1)) * gamma[:, :, None] * inner, 1.0)
+        d, failed = _solve(J, -st["psi"], shift=False)
+        return d, -st["merit"], failed
+
+    def trial(self, st, rows, step):
+        return self._at(st["x"][rows] + step, rows)
+
+
+class _EnPrimal(_En):
+    """p >= 2: Newton with the exact Hessian of ||x||_p^r,
+    (r/p) ||x||_p^(r-p) [diag(g'(x)) + ((r-p) / (p ||x||_p^p)) g(x) g(x)^T]."""
+
+    name = "primal_dual_newton"
+
+    def start(self):
+        return {"x": self.x0.copy(), "merit": self.objective(self.x0)}
+
+    def direction(self, st):
+        p, r, x, G = self.p, self.r, st["x"], st["G"]
+        fpow = pnorm._pow_sum(x, p)
+        zero = fpow == 0.0  # the Hessian is undefined at x = 0
+        fpow = np.where(zero, 1.0, fpow)
+        grad = pnorm._g(x, p)
+        diag = self.lam1 * (r / p) * fpow ** ((r - p) / p)  # lam1 times the Hessian's factor
+        rank1 = diag * (r - p) / (p * fpow)
+        J = self.AtA + (rank1[:, None] * grad)[:, :, None] * grad[:, None, :]
+        _add_diag(J, diag[:, None] * pnorm._g_prime(x, p) + 2.0 * self.lam2)
+        d, slope, _ = _descent(G, _solve(J, -G)[0])
+        return d, slope, zero
+
+    def trial(self, st, rows, step):
+        x = st["x"][rows] + step
+        return {"x": x, "merit": self.objective(x, rows)}
+
+
+def _en_stack(branch, A, y, p, cfg, r, lam1, lam2):
+    B, m, N = A.shape
+    out = [None] * B
+    aty = _tmv(A, y)
+    zero = ~np.any(aty, axis=1)
+    if r == 1.0:
+        # x = 0 is optimal iff the dual-norm subgradient condition holds
+        q = p / (p - 1.0)
+        zero |= pnorm._pow_sum(aty, q) ** (1.0 / q) <= lam1
+    br = branch(A, y, p, cfg, r, lam1, lam2)
+    rows = np.flatnonzero(zero)
+    for k, res in zip(rows, br.solution(rows, np.zeros((rows.size, N)), 0, np.ones(rows.size, bool))):
+        out[k] = res
+    _run(br, out, np.flatnonzero(~zero))
+    return out
+
 
 def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimize 0.5 ||A x - y||_2^2 + lam1 ||x||_p^r + lam2 ||x||_2^2.
@@ -628,160 +993,89 @@ def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveRe
     a damped Newton iteration on the inverse-map form of the stationarity
     system (which stays smooth as coordinates cross zero).  A BB + Armijo
     first-order method backs both up and is selectable as
-    algorithm="projected_gradient".
+    algorithm="projected_gradient".  A batch of one through the stacked
+    driver (see solve_stack).
+    """
+    return _raised(solve_stack("en", *_one(A, y), p, cfg, r=r, lam1=lam1, lam2=lam2)[0])
+
+
+# ---------------------------------------------------------------------------
+# stacks: the public entry of the Newton families
+# ---------------------------------------------------------------------------
+
+def _one(A, y):
+    A, y = _validated(A, y)
+    return A[None], y[None]
+
+
+def _raised(entry):
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
+
+
+def _stack_params(family, params):
+    if family == "bp":
+        return {}
+    if family == "rr":
+        lam = float(params["lam"])
+        if not lam > 0:
+            raise InvalidInputError(f"rr requires lam > 0, got {lam}")
+        return {"lam": lam}
+    if family == "en":
+        r, lam1, lam2 = float(params["r"]), float(params["lam1"]), float(params["lam2"])
+        if not r >= 1.0:
+            raise InvalidInputError(f"en requires r >= 1, got r={r}")
+        if not (lam1 > 0 and lam2 > 0):
+            raise InvalidInputError("en requires lam1 > 0 and lam2 > 0")
+        return {"r": r, "lam1": lam1, "lam2": lam2}
+    raise InvalidInputError(f"solve_stack takes bp, rr or en, got {family!r}")
+
+
+_BRANCHES = {"bp": (_BpDual, _BpPrimal), "rr": (_RrResidual, _RrPrimal),
+             "en": (_EnInverse, _EnPrimal)}
+_STACKS = {"bp": _bp_stack, "rr": _rr_stack, "en": _en_stack}
+
+
+def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> list:
+    """Solve a stack of bp, rr or en instances that share p and the parameters.
+
+    A has shape (B, m, N) and y shape (B, m); params are those of
+    solve_<family> (lam for rr; r, lam1, lam2 for en).  One damped-Newton
+    driver runs over the whole stack, each instance with its own stopping
+    test, stall guard, Armijo step and line-search failure count; an
+    instance that needs the first-order fallback leaves the stack and
+    finishes alone.  Returns one entry per instance: the SolveResult of
+    solve_<family>(A[k], y[k], p, ...), bit for bit, or the exception that
+    call raises.  Invalid p, parameters or config raise here.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
-    A, y = _validated(A, y)
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if A.ndim != 3 or y.shape != A.shape[:2]:
+        raise InvalidInputError(f"need A of shape (B, m, N) and y of shape (B, m), "
+                                f"got {A.shape} and {y.shape}")
     p = _require_p_gt1(p)
-    r, lam1, lam2 = float(r), float(lam1), float(lam2)
-    if r < 1.0:
-        raise InvalidInputError(f"en requires r >= 1, got r={r}")
-    if lam1 <= 0 or lam2 <= 0:
-        raise InvalidInputError("en requires lam1 > 0 and lam2 > 0")
-
-    aty = A.T @ y
-    wrap = _en_result(A, y, p, r, lam1, lam2)
-    if not np.any(aty):
-        return wrap(np.zeros(A.shape[1]), 0, CONVERGED)
-    if r == 1.0:
-        # x = 0 is optimal iff the dual-norm subgradient condition holds
-        q = p / (p - 1.0)
-        if pnorm.pnorm(aty, q) <= lam1:
-            return wrap(np.zeros(A.shape[1]), 0, CONVERGED)
-
-    def objective(x):
-        return (
-            0.5 * float(np.sum((A @ x - y) ** 2))
-            + lam1 * pnorm.pnorm(x, p) ** r
-            + lam2 * float(x @ x)
-        )
-
-    def gradient(x):
-        base = A.T @ (A @ x - y) + 2.0 * lam2 * x
-        fpow = pnorm.pnorm_pow(x, p)
-        if fpow == 0.0:
-            return base
-        return base + (r * lam1 / p) * fpow ** ((r - p) / p) * pnorm.pnorm_grad(x, p)
-
-    algo = cfg.algorithm
-    if algo == "auto":
-        algo = "fixed_point" if p < 2.0 else "primal_dual_newton"
-    x0 = _solve_shifted(A.T @ A + 2.0 * (lam1 + lam2) * np.eye(A.shape[1]), aty, 1.0)
-    if algo == "projected_gradient":
-        return _first_order(A, y, objective, gradient, x0, cfg, wrap)
-    if algo == "fixed_point":
-        if p > 2.0:
-            raise InvalidInputError("fixed_point requires 1 < p <= 2 (h' must be global)")
-        return _en_h_newton(A, y, p, r, lam1, lam2, cfg, x0, objective, gradient, wrap)
-    if algo != "primal_dual_newton":
-        raise InvalidInputError(f"unknown algorithm {algo!r} for en")
-    if p < 2.0:
-        raise InvalidInputError("primal_dual_newton requires p >= 2 for en")
-
-    n = A.shape[1]
-    AtA = A.T @ A
-    scale = 1.0 + np.abs(aty).max()
-    x = x0
-    fx = objective(x)
-    guard = _StallGuard()
-    for it in range(cfg.max_iter):
-        G = gradient(x)
-        gnorm = float(np.abs(G).max())
-        if gnorm <= cfg.kkt_tol * scale:
-            return wrap(x, it, CONVERGED)
-        if guard.stalled(gnorm):
-            return wrap(x, it, MAX_ITER)
-        J = AtA + lam1 * pnorm.pnorm_r_hessian(x, p, r) + 2.0 * lam2 * np.eye(n)
-        d = _solve_shifted(J, -G, np.trace(J) / n)
-        slope = float(G @ d)
-        if slope >= 0.0:
-            d, slope = -G, -float(G @ G)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            x_new = x + t * d
-            f_new = objective(x_new)
-            if f_new <= fx + cfg.ls_decrease * t * slope + 1e-14 * (1.0 + abs(fx)):
-                x, fx = x_new, f_new
-                accepted = True
-                break
-            t *= cfg.ls_shrink
-        if not accepted:
-            return _first_order(A, y, objective, gradient, x, cfg, wrap, it)
-    return wrap(x, cfg.max_iter, MAX_ITER)
-
-
-def _en_h_newton(A, y, p, r, lam1, lam2, cfg, x0, objective, gradient, wrap):
-    """Damped Newton on the inverse-map form of the en stationarity, 1 < p <= 2.
-
-    The system is Psi(x) = x + h(w(x)) = 0 with
-    w_i = p ||x||_p^(p-r) (a_i^T (Ax - y) + 2 lam2 x_i) / (r lam1), which is
-    continuously differentiable wherever x != 0 (the componentwise crossing
-    through zero is smooth, unlike the x-space Hessian which blows up).
-    """
-    n = A.shape[1]
-    AtA = A.T @ A
-    aty = A.T @ y
-    scale = 1.0 + np.abs(aty).max()
-    x = x0.copy()
-
-    def system(v):
-        fpow = pnorm.pnorm_pow(v, p)
-        npow = fpow ** ((p - r) / p)  # ||v||_p^(p-r)
-        base = AtA @ v - aty + 2.0 * lam2 * v
-        w = (p / (r * lam1)) * npow * base
-        return w, npow, base, v + pnorm.h_scalar(w, p)
-
-    w, npow, base, psi = system(x)
-    merit = float(np.linalg.norm(psi))
-    guard = _StallGuard()
-    for it in range(cfg.max_iter):
-        G = gradient(x)
-        gnorm = float(np.abs(G).max())
-        if gnorm <= cfg.kkt_tol * scale:
-            return wrap(x, it, CONVERGED)
-        if guard.stalled(gnorm):
-            return wrap(x, it, MAX_ITER)
-        gamma = pnorm.h_prime(w, p)
-        grad_npow = (p - r) / p * pnorm.pnorm_grad(x, p) / max(pnorm.pnorm_pow(x, p) ** (r / p), 1e-300)
-        inner = np.outer(base, grad_npow) + npow * (AtA + 2.0 * lam2 * np.eye(n))
-        J = np.eye(n) + (p / (r * lam1)) * gamma[:, None] * inner
-        try:
-            d = np.linalg.solve(J, -psi)
-        except np.linalg.LinAlgError:
-            return _first_order(A, y, objective, gradient, x, cfg, wrap, it)
-        t = 1.0
-        accepted = False
-        while t >= 1e-14:
-            x_new = x + t * d
-            w_new, npow_new, base_new, psi_new = system(x_new)
-            m_new = float(np.linalg.norm(psi_new))
-            if m_new <= (1.0 - cfg.ls_decrease * t) * merit + 1e-14 * (1.0 + merit):
-                x, w, npow, base, psi, merit = x_new, w_new, npow_new, base_new, psi_new, m_new
-                accepted = True
-                break
-            t *= cfg.ls_shrink
-        if not accepted:
-            return _first_order(A, y, objective, gradient, x, cfg, wrap, it)
-    return wrap(x, cfg.max_iter, MAX_ITER)
-
-
-
-
-def _en_result(A, y, p, r, lam1, lam2):
-    def wrap(x, iters, status):
-        resid = A @ x - y
-        station = A.T @ resid + 2.0 * lam2 * x
-        fpow = pnorm.pnorm_pow(x, p)
-        if fpow > 0.0:
-            station = station + (r * lam1 / p) * fpow ** ((r - p) / p) * pnorm.pnorm_grad(x, p)
-        obj = 0.5 * float(resid @ resid) + lam1 * pnorm.pnorm(x, p) ** r + lam2 * float(x @ x)
-        return SolveResult(
-            x=x, multiplier=None, objective=obj,
-            kkt_residual=float(np.abs(station).max()), iterations=iters, status=status,
-        )
-    return wrap
+    params = _stack_params(family, params)
+    branch = _branch(family, p, cfg.algorithm)
+    out = [None] * len(A)
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
+    for k in np.flatnonzero(~finite):
+        out[k] = InvalidInputError("A or y contains non-finite entries")
+    rows = np.flatnonzero(finite)
+    solve = _STACKS[family]
+    try:
+        sel = _all_or(rows, len(A))
+        sub = solve(branch, A[sel], y[sel], p, cfg, **params)
+    except Exception as exc:  # keep one instance's fault out of the others' results
+        if len(rows) == 1:
+            sub = [exc]
+        else:
+            sub = [solve_stack(family, A[k:k + 1], y[k:k + 1], p, cfg, **params)[0] for k in rows]
+    for k, r in zip(rows, sub):
+        out[k] = r
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,44 @@ class TestGenericityExperiment:
             )
 
 
+class TestTrialFailures:
+    """A trial that raises gets its own error record; its chunk is otherwise unchanged."""
+
+    @staticmethod
+    def _fields(rec):
+        d = dict(vars(rec))
+        d.pop("wall_time_ms")
+        return d
+
+    @pytest.mark.parametrize("family", ["bp", "rr", "bpdn_eps"])
+    @pytest.mark.parametrize("stage", ["gen_gaussian_instance", "kkt_residual"])
+    def test_failure_isolated(self, monkeypatch, family, stage):
+        cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(1.5,))
+        clean = analysis.run_genericity_experiment(cfg).trials
+        bad_seed = clean[3].seed
+        bad_y = analysis.gen_gaussian_instance(ensembles.EnsembleSpec(m=4, N=9, seed=bad_seed))[1]
+        inner = getattr(analysis, stage)
+
+        def faulty(arg, *rest):
+            if stage == "gen_gaussian_instance":
+                hit = arg.seed == bad_seed
+            else:
+                hit = np.array_equal(arg.y, bad_y)
+            if hit:
+                raise ZeroDivisionError("boom")
+            return inner(arg, *rest)
+
+        monkeypatch.setattr(analysis, stage, faulty)
+        stats = analysis.run_genericity_experiment(cfg)
+        for rec, ref in zip(stats.trials, clean):
+            if rec.seed == bad_seed:
+                assert rec.status == "error"
+                assert rec.error == "ZeroDivisionError: boom"
+            else:
+                assert self._fields(rec) == self._fields(ref)
+        assert stats.cells[0].failures == 1
+
+
 class TestRecoveryComparison:
     def test_l1_recovery(self):
         cfg = ExperimentConfig(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,17 @@ def test_strict_convexity_margin():
         lhs = pnorm.pnorm_pow(lam * x + (1 - lam) * y, p)
         rhs = lam * pnorm.pnorm_pow(x, p) + (1 - lam) * pnorm.pnorm_pow(y, p)
         assert rhs - lhs > 0.0
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 4.5])
+def test_overflow_same_on_scalar_and_array_paths(p):
+    # both paths saturate to inf without a warning, for |z| up to 1e300
+    zs = [s * 10.0 ** k for k in range(-300, 301, 15) for s in (1.0, -1.0)]
+    fns = [pnorm.g_scalar, pnorm.h_scalar, pnorm.g_prime] + ([pnorm.h_prime] if p <= 2.0 else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in fns:
+            array = fn(np.array(zs), p)
+            for z, b in zip(zs, array):
+                assert fn(z, p) == b, (fn.__name__, z)
+        assert list(pnorm.pnorm_grad(np.array(zs), p)) == [pnorm.g_scalar(z, p) for z in zs]

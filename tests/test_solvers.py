@@ -20,6 +20,7 @@ from lps.solvers import (
     solve_instance,
     solve_rr,
     solve_rr_irls,
+    solve_stack,
 )
 
 
@@ -391,14 +392,17 @@ class TestPathRootFind:
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.5])
     def test_scale_invariance(self, p):
-        # (A, y) -> c (A, y) leaves the bp, bpdn_eps (eps -> c eps), bpdn_eta
-        # and rr (lam -> c^2 lam) solutions unchanged
+        # (A, y) -> c (A, y) leaves the bp, bpdn_eps (eps -> c eps), bpdn_eta,
+        # rr (lam -> c^2 lam) and en (lam1, lam2 -> c^2 lam1, c^2 lam2)
+        # solutions unchanged; y -> c y takes the bp solution x to c x
         A, y = random_instance(np.random.default_rng(int(p * 10)), 8, 20)
         eps = 0.1 * np.linalg.norm(y)
         eta = 0.5 * pnorm.pnorm(solve_bp(A, y, p).x, p)
         solves = {
             "bp": lambda c: solve_bp(c * A, c * y, p),
+            "bp, y -> c y": lambda c: solve_bp(A, c * y, p),
             "rr": lambda c: solve_rr(c * A, c * y, p, 0.1 * c * c),
+            "en": lambda c: solve_en(c * A, c * y, p, 1.0, 0.1 * c * c, 0.1 * c * c),
             "bpdn_eps": lambda c: solve_bpdn_eps(c * A, c * y, p, c * eps),
             "bpdn_eta": lambda c: solve_bpdn_eta(c * A, c * y, p, eta),
         }
@@ -407,8 +411,9 @@ class TestPathRootFind:
             assert ref.converged, family
             for c in (1e-6, 1e6):
                 res = solve(c)
+                x = res.x / c if family == "bp, y -> c y" else res.x
                 assert res.converged, (family, c)
-                assert np.abs(res.x - ref.x).max() <= 1e-8 * np.abs(ref.x).max(), (family, c)
+                assert np.abs(x - ref.x).max() <= 1e-8 * np.abs(ref.x).max(), (family, c)
 
     @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
     @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -433,6 +438,80 @@ class TestPathRootFind:
             assert res.converged and res.multiplier > 0
         assert calls, "the path root-find must call lps.solvers._rr_core"
         assert len(calls) / trials <= 8.0
+
+
+class TestSolveStack:
+    """A stack solve gives each instance the bytes of its own public solve."""
+
+    PARAMS = {"bp": {}, "rr": {"lam": 0.1}, "en": {"r": 1.0, "lam1": 0.1, "lam2": 0.1}}
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.x.tobytes() == b.x.tobytes()
+        if a.multiplier is None:
+            assert b.multiplier is None
+        else:
+            assert np.asarray(a.multiplier).tobytes() == np.asarray(b.multiplier).tobytes()
+        assert (a.objective, a.kkt_residual, a.iterations, a.status) == \
+            (b.objective, b.kkt_residual, b.iterations, b.status)
+
+    def _check(self, family, A, y, p, cfg=None):
+        solve = getattr(lps.solvers, "solve_" + family)
+        singles = [solve(A[k], y[k], p, cfg=cfg, **self.PARAMS[family]) for k in range(len(A))]
+        for lo, hi in ((3, 4), (5, 12), (0, len(A))):
+            batch = solve_stack(family, A[lo:hi], y[lo:hi], p, cfg, **self.PARAMS[family])
+            assert len(batch) == hi - lo
+            for a, b in zip(singles[lo:hi], batch):
+                self._assert_same(a, b)
+        return singles
+
+    @pytest.mark.parametrize("family", ["bp", "rr", "en"])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.5])
+    def test_batch_matches_batch_of_one(self, family, p):
+        rng = np.random.default_rng(int(p * 100))
+        self._check(family, rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8)), p)
+
+    def test_stalled_instances(self):
+        # en near p = 1 leaves by the stall guard on most instances
+        rng = np.random.default_rng(11)
+        singles = self._check("en", rng.normal(size=(12, 8, 20)), rng.normal(size=(12, 8)), 1.02)
+        assert any(r.status == "max_iter" and r.iterations < 500 for r in singles)
+        assert any(r.converged for r in singles)
+
+    def test_first_order_fallback(self, monkeypatch):
+        # bp at p = 1.05: some instances leave the stack for projected gradient
+        fallbacks = []
+        inner = lps.solvers._bp_projected_gradient
+
+        def counted(one, *args):
+            fallbacks.append(one.p)
+            return inner(one, *args)
+
+        monkeypatch.setattr(lps.solvers, "_bp_projected_gradient", counted)
+        rng = np.random.default_rng(11)
+        A, y = rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8))
+        self._check("bp", A, y, 1.05, SolverConfig(max_iter_first_order=300))
+        assert fallbacks
+
+    def test_failing_instance_stays_apart(self):
+        rng = np.random.default_rng(3)
+        A, y = rng.normal(size=(6, 3, 7)), rng.normal(size=(6, 3))
+        A[2, 2] = A[2, 0]  # rank deficient and feasible
+        y[2] = A[2] @ rng.normal(size=7)
+        A[4, 0, 0] = np.nan
+        batch = solve_stack("bp", A, y, 1.5)
+        assert isinstance(batch[2], RankDeficientError)
+        assert isinstance(batch[4], InvalidInputError)
+        for k in (0, 1, 3, 5):
+            self._assert_same(batch[k], solve_bp(A[k], y[k], 1.5))
+
+    def test_rejects_bad_shapes_and_params(self):
+        with pytest.raises(InvalidInputError):
+            solve_stack("bp", np.ones((2, 3)), np.ones(2), 1.5)
+        with pytest.raises(InvalidInputError):
+            solve_stack("rr", np.ones((1, 2, 3)), np.ones((1, 2)), 1.5, lam=0.0)
+        with pytest.raises(InvalidInputError):
+            solve_stack("bpdn_eps", np.ones((1, 2, 3)), np.ones((1, 2)), 1.5)
 
 
 class TestBpdnEtaDualBound:
