@@ -25,7 +25,7 @@ import numpy as np
 from . import pnorm, solvers
 from .ensembles import EnsembleSpec, derive_seed, gen_gaussian_instance, gen_sparse_measured, rng_for
 from .errors import InvalidInputError
-from .solvers import (
+from .solvers import (  # solve_bp stays importable here for callers that wrap it
     CONVERGED,
     ProblemInstance,
     SolveResult,
@@ -62,7 +62,6 @@ DEFAULT_SUPPORT_TOL = 1e-6
 DEFAULT_EPSILON_FRACTION = 0.1
 DEFAULT_ETA_FRACTION = 0.5
 RECOVERY_TOL = 1e-6
-STACKED_FAMILIES = ("bp", "rr", "en")  # solved as one stack per chunk
 CHUNK = 64  # trials per task and per stack: fixed, so records never depend on the worker count
 
 
@@ -440,8 +439,11 @@ def _spec(cfg: ExperimentConfig, seed: int) -> EnsembleSpec:
                         sparsity=cfg.sparsity, signal_values=cfg.signal_values)
 
 
-def _draw(cfg: ExperimentConfig, p: float, seed: int, solver_cfg: SolverConfig):
-    """One genericity trial's instance and its constraint target (bpdn forms)."""
+def _draw(cfg: ExperimentConfig, p: float, seed: int):
+    """One genericity trial's instance and its constraint target (bpdn_eps).
+
+    A bpdn_eta trial's target needs its bp solution; _eta_targets sets it.
+    """
     spec = _spec(cfg, seed)
     if cfg.sparsity is not None:
         A, y, _, _ = gen_sparse_measured(spec)
@@ -457,43 +459,48 @@ def _draw(cfg: ExperimentConfig, p: float, seed: int, solver_cfg: SolverConfig):
         target = (cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION) * float(np.linalg.norm(y))
         return ProblemInstance(A, y, "bpdn_eps", p=p, eps=target), target
     if cfg.family == "bpdn_eta":
-        bp = solve_bp(A, y, p, solver_cfg)
-        target = (cfg.eta_fraction or DEFAULT_ETA_FRACTION) * pnorm.pnorm(bp.x, p)
-        return ProblemInstance(A, y, "bpdn_eta", p=p, eta=target), target
+        return ProblemInstance(A, y, "bpdn_eta", p=p), None
     raise InvalidInputError(
         f"family {cfg.family!r} is not a genericity family {GENERICITY_FAMILIES}"
     )
 
 
-def _solve_all(cfg: ExperimentConfig, p: float, insts: list, solver_cfg: SolverConfig) -> list:
-    """(result or exception, solve ms) for each drawn instance; a failed draw passes through.
+def _solve_chunk(family, p, insts, solver_cfg, **params):
+    """(entry of one solve_stack call, ms share) for each instance; an exception
+    in place of an instance passes through with no time.
 
-    bp, rr and en are solved as one stack, each trial charged an equal share
-    of its time; the other families one by one.
+    Each instance is charged an equal share of the call.  The bpdn forms
+    read each instance's own eps or eta.
     """
     out = [(inst, 0.0) for inst in insts]
     ok = [k for k, inst in enumerate(insts) if not isinstance(inst, Exception)]
     if not ok:
         return out
-    if cfg.family in STACKED_FAMILIES:
-        params = {"bp": {}, "rr": {"lam": cfg.lam},
-                  "en": {"r": cfg.r, "lam1": cfg.lam1, "lam2": cfg.lam2}}[cfg.family]
-        start = time.perf_counter()
-        results = solvers.solve_stack(cfg.family, np.array([insts[k].A for k in ok]),
-                                      np.array([insts[k].y for k in ok]), p, solver_cfg, **params)
-        share = (time.perf_counter() - start) * 1e3 / len(ok)
-        for k, res in zip(ok, results):
-            out[k] = (res, share)
-        return out
-    for k in ok:
-        start = time.perf_counter()
-        try:
-            res = solve_instance(insts[k], solver_cfg)
-        except InvalidInputError:
-            raise
-        except Exception as exc:
-            res = exc
-        out[k] = (res, (time.perf_counter() - start) * 1e3)
+    if family in ("bpdn_eps", "bpdn_eta"):
+        params = {family[5:]: [getattr(insts[k], family[5:]) for k in ok]}
+    start = time.perf_counter()
+    results = solvers.solve_stack(family, np.array([insts[k].A for k in ok]),
+                                  np.array([insts[k].y for k in ok]), p, solver_cfg, **params)
+    share = (time.perf_counter() - start) * 1e3 / len(ok)
+    for k, res in zip(ok, results):
+        out[k] = (res, share)
+    return out
+
+
+def _eta_targets(cfg: ExperimentConfig, p: float, drawn: list, solver_cfg: SolverConfig) -> list:
+    """Set each drawn bpdn_eta trial's eta to eta_fraction ||x_bp||_p, from one bp stack.
+
+    A trial whose bp solve raises carries that exception in place of its
+    instance.  Each trial's draw time gains an equal share of the bp solve.
+    """
+    out = []
+    for (trial, seed, inst, _, ms), (bp, share) in zip(
+            drawn, _solve_chunk("bp", p, [d[2] for d in drawn], solver_cfg)):
+        if isinstance(bp, Exception):  # the bp solve's, or the draw's
+            out.append((trial, seed, bp, None, ms + share))
+            continue
+        inst.eta = (cfg.eta_fraction or DEFAULT_ETA_FRACTION) * pnorm.pnorm(bp.x, p)
+        out.append((trial, seed, inst, inst.eta, ms + share))
     return out
 
 
@@ -530,7 +537,8 @@ def _genericity_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> 
     A trial whose draw, solve or measurement raises gets a status="error"
     record that keeps the exception; the other trials are unaffected.
     wall_time_ms is a trial's own draw and measurement time plus its share
-    of the solve.
+    of the stacked solve (and, for bpdn_eta, of the bp solve that sets the
+    targets).
     """
     p = cfg.p_grid[p_index]
     solver_cfg = SolverConfig()
@@ -539,13 +547,17 @@ def _genericity_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> 
         seed = derive_seed(cfg.master_seed, p_index, trial)
         start = time.perf_counter()
         try:
-            inst, target = _draw(cfg, p, seed, solver_cfg)
+            inst, target = _draw(cfg, p, seed)
         except InvalidInputError:
             raise
         except Exception as exc:
             inst, target = exc, None
         drawn.append((trial, seed, inst, target, (time.perf_counter() - start) * 1e3))
-    solved = _solve_all(cfg, p, [d[2] for d in drawn], solver_cfg)
+    if cfg.family == "bpdn_eta":
+        drawn = _eta_targets(cfg, p, drawn, solver_cfg)
+    params = {"rr": {"lam": cfg.lam},
+              "en": {"r": cfg.r, "lam1": cfg.lam1, "lam2": cfg.lam2}}.get(cfg.family, {})
+    solved = _solve_chunk(cfg.family, p, [d[2] for d in drawn], solver_cfg, **params)
     records = []
     for (trial, seed, inst, target, draw_ms), (res, solve_ms) in zip(drawn, solved):
         start = time.perf_counter()

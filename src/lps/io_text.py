@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import os
+import platform
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from .errors import InvalidInputError
 
@@ -99,6 +102,15 @@ def config_digest(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
+def _numeric_environment() -> dict:
+    """What a run's numbers and speed depend on besides its inputs: library
+    versions, the CPU count and the BLAS thread settings (None when unset)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name)
+               for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 @dataclass
 class RunManifest:
     command: str
@@ -107,6 +119,7 @@ class RunManifest:
     tool_version: str
     started: str
     finished: str
+    environment: dict = field(default_factory=_numeric_environment)
 
     def write(self, path) -> None:
         doc = {
@@ -116,6 +129,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "started": self.started,
             "finished": self.finished,
+            "environment": self.environment,
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)

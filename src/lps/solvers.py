@@ -26,10 +26,13 @@ of same-shape instances that share p and the parameters (solve_stack).
 Each of the six branches (bp dual and bp primal on null(A); rr residual
 and rr primal; en inverse-map and en primal) supplies its start point,
 stopping measure, Newton direction and merit; the driver keeps every
-per-instance state in arrays.  Every step works row by row, so an
-instance's result does not depend on the other instances of its stack:
-solve_bp, solve_rr and solve_en are stacks of one.  Validation happens at
-the public functions; the inner loops call unchecked pnorm kernels.
+per-instance state in arrays.  The bpdn forms run their Pareto-path
+root-find (_rr_path_root) over a stack in lockstep: each round solves the
+active instances' rr, each at its own lam, as one stack.  Every step works
+row by row, so an instance's result does not depend on the other instances
+of its stack: solve_bp, solve_rr, solve_en and the solve_bpdn_* functions
+are stacks of one.  Validation happens at the public functions; the inner
+loops call unchecked pnorm kernels.
 """
 
 from __future__ import annotations
@@ -296,7 +299,6 @@ class _Stack:
     """
 
     stacked = ("A", "y")
-    patience = 1   # failed line searches in a row before the first-order fallback
     slack = 1e-14  # Armijo allowance, relative to |merit|
 
     def __init__(self, A, y, p, cfg):
@@ -318,15 +320,15 @@ def _newton(br, out):
 
     All per-instance state lives in arrays; instances leave the batch when
     they converge, stall (no _STALL_GAIN gain on their best residual in
-    _STALL_PATIENCE iterations), exhaust the budget, or fail `patience` line
-    searches in a row (they then finish alone in the first-order method).
+    _STALL_PATIENCE iterations), exhaust the budget, or fail a line search.
+    A failed instance finishes alone in the first-order method at once: its
+    state did not move, so another try would repeat the same direction.
     Writes out[k] for instance k.
     """
     cfg = br.cfg
     st = br.start()
     n = br.size
-    st.update(row=np.arange(n), best=np.full(n, np.inf),
-              count=np.zeros(n, dtype=int), fails=np.zeros(n, dtype=int))
+    st.update(row=np.arange(n), best=np.full(n, np.inf), count=np.zeros(n, dtype=int))
     for it in range(cfg.max_iter + 1):
         res, scale = br.measure(st)
         done = res <= cfg.kkt_tol * scale
@@ -345,16 +347,12 @@ def _newton(br, out):
         d, slope, failed = br.direction(st)
         moved = _line_search(br, st, d, slope, failed)
         if moved.all():
-            st["fails"][:] = 0
             continue
-        st["fails"] = np.where(moved, 0, st["fails"] + 1)
-        fall = st["fails"] >= br.patience
-        if fall.any():
-            for j in np.flatnonzero(fall):
-                out[st["row"][j]] = br.fallback(st, j, it)
-            if fall.all():
-                return
-            br, st = _keep(br, st, ~fall)
+        for j in np.flatnonzero(~moved):
+            out[st["row"][j]] = br.fallback(st, j, it)
+        if not moved.any():
+            return
+        br, st = _keep(br, st, moved)
 
 
 def _line_search(br, st, d, slope, failed):
@@ -444,7 +442,6 @@ def _branch(family, p, algorithm):
 
 class _Bp(_Stack):
     stacked = ("A", "y", "G")
-    patience = 3
 
     def __init__(self, A, y, p, cfg):
         super().__init__(A, y, p, cfg)
@@ -691,24 +688,24 @@ class _Smooth(_Stack):
 
 
 class _Rr(_Smooth):
-    stacked = ("A", "y", "scale", "x0")
+    stacked = ("A", "y", "lam", "scale", "x0")
 
     def __init__(self, A, y, p, cfg, lam, warm):
         super().__init__(A, y, p, cfg)
-        self.lam = lam
+        self.lam = lam[:, None]  # each row's own lam, as a column
         self.scale = _amax(_tmv(A, y))
         if warm is None:  # the p = 2 solution at twice lam
             AtA = np.matmul(A.transpose(0, 2, 1), A)
-            warm = _solve(_add_diag(AtA, 2.0 * lam), _tmv(A, y))[0]
+            warm = _solve(_add_diag(AtA, 2.0 * self.lam), _tmv(A, y))[0]
         self.x0 = warm
 
     def objective(self, x, rows=slice(None)):
         r = _mv(self.A[rows], x) - self.y[rows]
-        return 0.5 * _dot(r, r) + self.lam * pnorm._pow_sum(x, self.p)
+        return 0.5 * _dot(r, r) + self.lam[rows, 0] * pnorm._pow_sum(x, self.p)
 
     def gradient(self, x, rows=slice(None)):
         A = self.A[rows]
-        return _tmv(A, _mv(A, x) - self.y[rows]) + self.lam * pnorm._g(x, self.p)
+        return _tmv(A, _mv(A, x) - self.y[rows]) + self.lam[rows] * pnorm._g(x, self.p)
 
 
 class _RrResidual(_Rr):
@@ -721,7 +718,7 @@ class _RrResidual(_Rr):
 
     def _at(self, w, rows):
         A = self.A[rows]
-        s = _tmv(A, w) / self.lam
+        s = _tmv(A, w) / self.lam[rows]
         x = pnorm._h(s, self.p)
         G = w - self.y[rows] + _mv(A, x)
         return {"w": w, "s": s, "x": x, "G": G, "merit": _dot(G, G)}
@@ -775,15 +772,17 @@ def _descent(G, d):
 
 
 def _rr_stack(branch, A, y, p, cfg, lam, warm=None):
+    """rr on a stack of finite instances, row k at lam (a scalar) or lam[k]."""
     B, m, N = A.shape
     out = [None] * B
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (B,))
     zero = ~np.any(_tmv(A, y), axis=1)
     for k in np.flatnonzero(zero):
         out[k] = SolveResult(np.zeros(N), None, 0.5 * float(y[k] @ y[k]), 0.0, 0, CONVERGED)
     rows = np.flatnonzero(~zero)
     if rows.size:
         sel = _all_or(rows, B)
-        br = branch(A[sel], y[sel], p, cfg, lam, None if warm is None else warm[sel])
+        br = branch(A[sel], y[sel], p, cfg, lam[sel], None if warm is None else warm[sel])
         sub = [None] * rows.size
         _run(br, sub, np.arange(rows.size))
         for k, r in zip(rows, sub):
@@ -804,11 +803,10 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
-def _rr_core(A, y, p, lam, cfg, warm) -> SolveResult:
-    """rr on one validated instance from an optional warm start: the inner solve of the bpdn path."""
-    out = _rr_stack(_branch("rr", p, cfg.algorithm), A[None], y[None], p, cfg, lam,
-                    None if warm is None else warm[None])
-    return _raised(out[0])
+def _rr_core(A, y, p, lam, cfg, warm) -> list:
+    """rr on a stack of validated instances, row k at lam[k] and from warm[k]
+    (or the ridge start when warm is None): the inner solves of the bpdn path."""
+    return _rr_stack(_branch("rr", p, cfg.algorithm), A, y, p, cfg, lam, warm)
 
 
 def _first_order(one, x0, iters_used=0):
@@ -1000,7 +998,7 @@ def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveRe
 
 
 # ---------------------------------------------------------------------------
-# stacks: the public entry of the Newton families
+# stacks: the public entry of the Newton families and the bpdn forms
 # ---------------------------------------------------------------------------
 
 def _one(A, y):
@@ -1014,7 +1012,7 @@ def _raised(entry):
     return entry
 
 
-def _stack_params(family, params):
+def _stack_params(family, params, B):
     if family == "bp":
         return {}
     if family == "rr":
@@ -1029,25 +1027,38 @@ def _stack_params(family, params):
         if not (lam1 > 0 and lam2 > 0):
             raise InvalidInputError("en requires lam1 > 0 and lam2 > 0")
         return {"r": r, "lam1": lam1, "lam2": lam2}
-    raise InvalidInputError(f"solve_stack takes bp, rr or en, got {family!r}")
+    if family in ("bpdn_eps", "bpdn_eta"):
+        name = family[5:]
+        try:
+            v = np.broadcast_to(np.asarray(params[name], dtype=float), (B,))
+        except (KeyError, TypeError, ValueError):
+            raise InvalidInputError(f"{family} requires {name}: a scalar or one "
+                                    f"value per instance") from None
+        if not np.all(v > 0):
+            raise InvalidInputError(f"{family} requires {name} > 0, got {float(v[~(v > 0)][0])}")
+        return {name: v}
+    raise InvalidInputError(f"solve_stack takes bp, rr, en, bpdn_eps or bpdn_eta, got {family!r}")
 
 
-_BRANCHES = {"bp": (_BpDual, _BpPrimal), "rr": (_RrResidual, _RrPrimal),
-             "en": (_EnInverse, _EnPrimal)}
-_STACKS = {"bp": _bp_stack, "rr": _rr_stack, "en": _en_stack}
+def _rows_of(params, rows):
+    """params of the instances `rows`: per-instance arrays are indexed, scalars kept."""
+    return {k: v[rows] if isinstance(v, np.ndarray) else v for k, v in params.items()}
 
 
 def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> list:
-    """Solve a stack of bp, rr or en instances that share p and the parameters.
+    """Solve a stack of bp, rr, en, bpdn_eps or bpdn_eta instances that share p.
 
     A has shape (B, m, N) and y shape (B, m); params are those of
-    solve_<family> (lam for rr; r, lam1, lam2 for en).  One damped-Newton
-    driver runs over the whole stack, each instance with its own stopping
-    test, stall guard, Armijo step and line-search failure count; an
-    instance that needs the first-order fallback leaves the stack and
-    finishes alone.  Returns one entry per instance: the SolveResult of
-    solve_<family>(A[k], y[k], p, ...), bit for bit, or the exception that
-    call raises.  Invalid p, parameters or config raise here.
+    solve_<family> (lam for rr; r, lam1, lam2 for en; eps or eta for the
+    bpdn forms, each a scalar or one value per instance).  bp, rr and en
+    run one damped-Newton driver over the whole stack, each instance with
+    its own stopping test, stall guard, Armijo step and line-search
+    failure; an instance that needs the first-order fallback leaves the
+    stack and finishes alone.  The bpdn forms run their Pareto-path
+    root-find over the stack in lockstep.  Returns one entry per instance:
+    the SolveResult of solve_<family>(A[k], y[k], p, ...), bit for bit, or
+    the exception that call raises.  Invalid p, parameters or config raise
+    here.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
@@ -1057,8 +1068,8 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
         raise InvalidInputError(f"need A of shape (B, m, N) and y of shape (B, m), "
                                 f"got {A.shape} and {y.shape}")
     p = _require_p_gt1(p)
-    params = _stack_params(family, params)
-    branch = _branch(family, p, cfg.algorithm)
+    params = _stack_params(family, params, len(A))
+    branch = _branch(family, p, cfg.algorithm) if family in _BRANCHES else None
     out = [None] * len(A)
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
     for k in np.flatnonzero(~finite):
@@ -1067,20 +1078,101 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
     solve = _STACKS[family]
     try:
         sel = _all_or(rows, len(A))
-        sub = solve(branch, A[sel], y[sel], p, cfg, **params)
+        sub = solve(branch, A[sel], y[sel], p, cfg, **_rows_of(params, sel))
     except Exception as exc:  # keep one instance's fault out of the others' results
         if len(rows) == 1:
             sub = [exc]
         else:
-            sub = [solve_stack(family, A[k:k + 1], y[k:k + 1], p, cfg, **params)[0] for k in rows]
+            sub = [solve_stack(family, A[k:k + 1], y[k:k + 1], p, cfg,
+                               **_rows_of(params, slice(k, k + 1)))[0] for k in rows]
     for k, r in zip(rows, sub):
         out[k] = r
     return out
 
 
-# ---------------------------------------------------------------------------
-# basis pursuit denoising, residual-constrained form
-# ---------------------------------------------------------------------------
+def _full_row_rank(family, A, out):
+    """Rows of A with full row rank; the others get the family's RankDeficientError in out."""
+    rank = _full_rank(np.matmul(A, A.transpose(0, 2, 1)))
+    for k in np.flatnonzero(~rank):
+        out[k] = RankDeficientError(f"{family} requires A with full row rank")
+    return np.flatnonzero(rank)
+
+
+def _bpdn_eps_stack(branch, A, y, p, cfg, eps):
+    B, m, N = A.shape
+    out = [None] * B
+    ny = np.sqrt(_dot(y, y))
+    rows = _full_row_rank("bpdn_eps", A, out)
+    slack = eps[rows] >= ny[rows]
+    for k in rows[slack]:
+        out[k] = SolveResult(np.zeros(N), 0.0, 0.0, 0.0, 0, CONVERGED)
+    rows = rows[~slack]
+    A, y, eps = A[rows], y[rows], eps[rows]
+    x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, cfg.bisection_tol * ny[rows],
+                                         1e-8 * ny[rows])
+    mu = 1.0 / (2.0 * lam)
+    r = _mv(A, x) - y
+    kkt = (_amax(pnorm._g(x, p) + 2.0 * mu[:, None] * _tmv(A, r))
+           + np.maximum(0.0, np.sqrt(_dot(r, r)) - eps))
+    obj = pnorm._pow_sum(x, p) ** (1.0 / p)
+    for j, k in enumerate(rows):
+        out[k] = (SolveResult(x[j], float(mu[j]), float(obj[j]), float(kkt[j]), int(iters[j]),
+                              CONVERGED) if found[j] else
+                  SolveResult(np.zeros(N), None, 0.0, np.inf, 0, DEGENERATE))
+    return out
+
+
+def _bp_of(A, y, p, cfg, rows):
+    """{k: bp entry of row k} for `rows`, from one bp stack; bp picks its own branch."""
+    if not len(rows):
+        return {}
+    return dict(zip(rows, solve_stack("bp", A[rows], y[rows], p, replace(cfg, algorithm="auto"))))
+
+
+def _bpdn_eta_stack(branch, A, y, p, cfg, eta):
+    B, m, N = A.shape
+    out = [None] * B
+    rows = _full_row_rank("bpdn_eta", A, out)
+    # every x with A x = y has ||x||_p >= ||x_ls||_2^2 / ||x_ls||_q (Hoelder
+    # against the least-norm solution x_ls), so below that bound the
+    # constraint is active and bp is not needed; the factor is a rounding
+    # allowance
+    Ar = A[rows]
+    x_ls = _tmv(Ar, _solve(np.matmul(Ar, Ar.transpose(0, 2, 1)), y[rows])[0])
+    q = p / (p - 1.0)
+    above = eta[rows] * pnorm._pow_sum(x_ls, q) ** (1.0 / q) >= (1.0 - 1e-10) * _dot(x_ls, x_ls)
+    bp = _bp_of(A, y, p, cfg, rows[above])
+    for k, b in bp.items():
+        if isinstance(b, Exception):
+            out[k] = b
+        elif pnorm.pnorm(b.x, p) <= eta[k]:
+            out[k] = SolveResult(b.x, 0.0, float(np.linalg.norm(A[k] @ b.x - y[k])),
+                                 b.kkt_residual, b.iterations, b.status, reduced_to_bp=True)
+    rows = np.array([k for k in rows if out[k] is None], dtype=int)
+    x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, False, eta[rows],
+                                        cfg.bisection_tol * eta[rows], 1e-8 * eta[rows])
+    bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
+    r = _mv(A[rows], x) - y[rows]
+    kkt = (_amax(_tmv(A[rows], r) + mu[:, None] * pnorm._g(x, p))
+           + np.maximum(0.0, pnorm._pow_sum(x, p) ** (1.0 / p) - eta[rows]))
+    obj = np.sqrt(_dot(r, r))
+    for j, k in enumerate(rows):
+        if found[j]:
+            out[k] = SolveResult(x[j], float(mu[j]), float(obj[j]), float(kkt[j]), int(iters[j]),
+                                 CONVERGED)
+        elif isinstance(bp[k], Exception):
+            out[k] = bp[k]
+        else:
+            out[k] = SolveResult(bp[k].x, None, float(np.linalg.norm(A[k] @ bp[k].x - y[k])),
+                                 np.inf, bp[k].iterations, DEGENERATE)
+    return out
+
+
+_BRANCHES = {"bp": (_BpDual, _BpPrimal), "rr": (_RrResidual, _RrPrimal),
+             "en": (_EnInverse, _EnPrimal)}
+_STACKS = {"bp": _bp_stack, "rr": _rr_stack, "en": _en_stack,
+           "bpdn_eps": _bpdn_eps_stack, "bpdn_eta": _bpdn_eta_stack}
+
 
 def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimize ||x||_p over ||A x - y||_2 <= eps, for p > 1 and eps > 0.
@@ -1090,37 +1182,9 @@ def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult
     grad_f(x) + 2 mu A^T (A x - y) = 0; the solution lies on the penalized
     path x(lam) = rr-solution(lam) at lam = 1/(2 mu), located by a
     safeguarded Newton root-find (_rr_path_root) on ||A x(lam) - y||_2 = eps.
+    A batch of one through the stacked root-find (see solve_stack).
     """
-    cfg = cfg or SolverConfig()
-    cfg.validate()
-    A, y = _validated(A, y)
-    p = _require_p_gt1(p)
-    eps = float(eps)
-    if eps <= 0:
-        raise InvalidInputError(f"bpdn_eps requires eps > 0, got {eps}")
-    if _gram_cho(A) is None:
-        raise RankDeficientError("bpdn_eps requires A with full row rank")
-
-    ny = float(np.linalg.norm(y))
-    n = A.shape[1]
-    if eps >= ny:
-        x = np.zeros(n)
-        return SolveResult(x, 0.0, 0.0, 0.0, 0, CONVERGED)
-
-    inner = _rr_path_root(A, y, p, cfg, residual=True, target=eps,
-                          tol=cfg.bisection_tol * ny, tol_floor=1e-8 * ny)
-    if inner is None:
-        x = np.zeros(n)
-        return SolveResult(x, None, pnorm.pnorm(x, p), np.inf, 0, DEGENERATE)
-    x, lam, iters = inner
-    mu = 1.0 / (2.0 * lam)
-    grad = pnorm.pnorm_grad(x, p)
-    resid = A @ x - y
-    kkt = float(
-        np.abs(grad + 2.0 * mu * (A.T @ resid)).max()
-        + max(0.0, float(np.linalg.norm(resid)) - eps)
-    )
-    return SolveResult(x, mu, pnorm.pnorm(x, p), kkt, iters, CONVERGED)
+    return _raised(solve_stack("bpdn_eps", *_one(A, y), p, cfg, eps=eps)[0])
 
 
 def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult:
@@ -1132,51 +1196,14 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     is active, the multiplier mu > 0 is unique, and the solution lies on
     the same penalized path at lam = mu, located by the same root-find on
     ||x(mu)||_p = eta.  bp is solved only when eta is not below a dual lower
-    bound on its optimum.
+    bound on its optimum.  A batch of one through the stacked root-find
+    (see solve_stack).
     """
-    cfg = cfg or SolverConfig()
-    cfg.validate()
-    A, y = _validated(A, y)
-    p = _require_p_gt1(p)
-    eta = float(eta)
-    if eta <= 0:
-        raise InvalidInputError(f"bpdn_eta requires eta > 0, got {eta}")
-    cho = _gram_cho(A)
-    if cho is None:
-        raise RankDeficientError("bpdn_eta requires A with full row rank")
-
-    # every x with A x = y has ||x||_p >= ||x_ls||_2^2 / ||x_ls||_q (Hoelder
-    # against the least-norm solution x_ls), so below that bound the
-    # constraint is active and bp is not needed; the factor is a rounding
-    # allowance.  Internal solves pick their own branch: cfg.algorithm names
-    # rr/bp-specific methods that need not coincide.
-    bp_cfg = replace(cfg, algorithm="auto")
-    x_ls = A.T @ scipy.linalg.cho_solve(cho, y, check_finite=False)
-    bp = None
-    if eta * pnorm.pnorm(x_ls, p / (p - 1.0)) >= (1.0 - 1e-10) * float(x_ls @ x_ls):
-        bp = solve_bp(A, y, p, bp_cfg)
-        if pnorm.pnorm(bp.x, p) <= eta:
-            return SolveResult(bp.x, 0.0, float(np.linalg.norm(A @ bp.x - y)), bp.kkt_residual,
-                               bp.iterations, bp.status, reduced_to_bp=True)
-
-    inner = _rr_path_root(A, y, p, cfg, residual=False, target=eta,
-                          tol=cfg.bisection_tol * eta, tol_floor=1e-8 * eta)
-    if inner is None:
-        if bp is None:
-            bp = solve_bp(A, y, p, bp_cfg)
-        return SolveResult(bp.x, None, float(np.linalg.norm(A @ bp.x - y)),
-                           np.inf, bp.iterations, DEGENERATE)
-    x, mu, iters = inner
-    resid = A @ x - y
-    kkt = float(
-        np.abs(A.T @ resid + mu * pnorm.pnorm_grad(x, p)).max()
-        + max(0.0, pnorm.pnorm(x, p) - eta)
-    )
-    return SolveResult(x, mu, float(np.linalg.norm(resid)), kkt, iters, CONVERGED)
+    return _raised(solve_stack("bpdn_eta", *_one(A, y), p, cfg, eta=eta)[0])
 
 
 def _path_dx(A, p, lam, x):
-    """dx/dlam on the rr path, from the derivative of its stationarity.
+    """dx/dlam on the rr path of every row of a stack, from the derivative of its stationarity.
 
     Differentiating A^T (A x - y) + lam g(x) = 0 gives
     (A^T A + lam diag(g'(x))) dx = -g(x).  For p >= 2 that n x n system is
@@ -1184,18 +1211,17 @@ def _path_dx(A, p, lam, x):
     in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m matrix
     J = I + A E A^T of the residual Newton iteration.
     """
-    g = pnorm.pnorm_grad(x, p)
+    g = pnorm._g(x, p)
     if p >= 2.0:
-        J = A.T @ A + np.diag(lam * pnorm.g_prime(x, p))
-        return _solve_shifted(J, -g, np.trace(J) / J.shape[0])
-    e = pnorm.h_prime(g, p) / lam
-    J = np.eye(A.shape[0]) + (A * e) @ A.T
-    dw = _solve_shifted(J, A @ (e * g), np.trace(J) / J.shape[0])
-    return e * (A.T @ dw - g)
+        J = _add_diag(np.matmul(A.transpose(0, 2, 1), A), lam[:, None] * pnorm._g_prime(x, p))
+        return _solve(J, -g)[0]
+    e = pnorm._h_prime(g, p) / lam[:, None]
+    J = _add_diag(np.matmul(A * e[:, None, :], A.transpose(0, 2, 1)), 1.0)
+    return e * (_tmv(A, _solve(J, _mv(A, e * g))[0]) - g)
 
 
 def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
-    """Find lam on the rr path x(lam) where the path value meets target.
+    """Find, on each row k of a stack, lam on its rr path x(lam) where the path value meets target[k].
 
     The path value is ||A x - y||_2 when `residual` (it grows with lam),
     else ||x||_p (it falls).  Newton steps in log lam take their slope
@@ -1203,66 +1229,86 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
     that leaves it, or that follows a Newton step which failed to halve the
     mismatch, is replaced by a geometric one (x8, /8 or sqrt(lo hi)).  The
     start mean(A * A) and the floor 1e-12 times it scale as c^2 when (A, y)
-    scales by c, so the iteration is scale-free.  The loop aims for
-    |value - target| <= tol; when the bracket collapses to machine width
+    scales by c, so the iteration is scale-free.  A row aims for
+    |value - target| <= tol; when its bracket collapses to machine width
     first (the tolerance sits below what the inner solves can certify), the
     closest point is still accepted if it matches within tol_floor.
-    Returns (x, lam, inner_iterations), or None when even the floor lies
-    past the target or no point meets tol_floor.
+
+    The rows run in lockstep: each round solves the active rows' rr at their
+    own lam as one stack (_rr_core) and takes one stacked _path_dx, and a
+    row leaves when it matches, its bracket collapses, it reaches the floor,
+    or it has used 200 inner solves.  Each row's numbers depend on that row
+    alone.  Returns (x, lam, inner_iterations, found) over the rows; found is
+    False where even the floor lies past the target or no point met
+    tol_floor.
     """
     # inner solves are polished well below the match tolerance so the path
     # value and its slope carry negligible noise
     inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3), algorithm="auto")
-    lam = float(np.mean(A * A))
-    floor = 1e-12 * lam
-    lo, hi = 0.0, np.inf
-    total, warm = 0, None
-    best = (np.inf, None, None)
-    last_gap = np.inf
-    newton = False
-    for _ in range(200):  # budget of inner rr solves
-        res = _rr_core(A, y, p, lam, inner_cfg, warm)
-        total += res.iterations
-        x = warm = res.x
-        r = A @ x - y
-        value = float(np.linalg.norm(r)) if residual else pnorm.pnorm(x, p)
-        gap = value - target
-        if abs(gap) <= tol:
-            return x, lam, total
-        if abs(gap) < best[0]:
-            best = (abs(gap), x, lam)
-        if (gap > 0.0) == residual:
-            if lam <= floor:
-                return None
-            hi = lam
-        else:
-            lo = lam
-        if lo >= (1.0 - 1e-13) * hi:
+    B, m, N = A.shape
+    lam = (A * A).reshape(B, m * N).mean(axis=1)
+    x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
+    iters, found = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
+    s = {"row": np.arange(B), "A": A, "y": y, "target": target, "tol": tol, "tol_floor": tol_floor,
+         "lam": lam, "floor": 1e-12 * lam, "lo": np.zeros(B), "hi": np.full(B, np.inf),
+         "total": np.zeros(B, dtype=int), "best": np.full(B, np.inf), "best_x": np.zeros((B, N)),
+         "best_lam": np.zeros(B), "last_gap": np.full(B, np.inf), "newton": np.zeros(B, dtype=bool)}
+    warm = None
+    for solves in range(1, 201):  # budget of inner rr solves
+        if not B:
             break
-        dx = _path_dx(A, p, lam, x)
+        res = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, warm)
+        x = np.array([t.x for t in res])
+        s["total"] = s["total"] + [t.iterations for t in res]
+        r = _mv(s["A"], x) - s["y"]
+        value = np.sqrt(_dot(r, r)) if residual else pnorm._pow_sum(x, p) ** (1.0 / p)
+        gap = value - s["target"]
+        match = np.abs(gap) <= s["tol"]
+        better = np.abs(gap) < s["best"]
+        s["best"] = np.where(better, np.abs(gap), s["best"])
+        s["best_x"] = np.where(better[:, None], x, s["best_x"])
+        s["best_lam"] = np.where(better, s["lam"], s["best_lam"])
+        past = (gap > 0.0) == residual
+        dead = ~match & past & (s["lam"] <= s["floor"])
+        s["hi"] = np.where(past, s["lam"], s["hi"])
+        s["lo"] = np.where(past, s["lo"], s["lam"])
+        shut = ~match & ~dead & ((s["lo"] >= (1.0 - 1e-13) * s["hi"]) | (solves == 200))
+        ok = match | (shut & (s["best"] <= s["tol_floor"]))
+        k = s["row"][ok]
+        found[k] = True
+        x_out[k] = np.where(match[ok, None], x[ok], s["best_x"][ok])
+        lam_out[k] = np.where(match[ok], s["lam"][ok], s["best_lam"][ok])
+        iters[k] = s["total"][ok]
+        s.update(x=x, r=r, value=value, gap=gap)
+        keep = ~(match | dead | shut)
+        if not keep.all():
+            s = {key: v[keep] for key, v in s.items()}
+        if not len(s["row"]):
+            break
+        warm = x = s["x"]
+        lam, lo, hi = s["lam"], s["lo"], s["hi"]
+        dx = _path_dx(s["A"], p, lam, x)
         with np.errstate(all="ignore"):
             if residual:
                 # Newton on log ||r||, which is near linear in log lam where
                 # the residual grows like lam; ||x||_p is stepped on as it is
-                phi, slope = np.log(value / target), lam * (r @ (A @ dx)) / value ** 2
+                phi = np.log(s["value"] / s["target"])
+                slope = lam * _dot(s["r"], _mv(s["A"], dx)) / s["value"] ** 2
             else:
-                phi, slope = gap, lam * (pnorm.pnorm_grad(x / value, p) @ dx) / p
-            step = float(lam * np.exp(-phi / slope))
-        # an open side of the bracket reaches one geometric step out
-        if hi == np.inf:
-            geometric = 8.0 * lam
-            inside = lo < step <= geometric
-        elif lo == 0.0:
-            geometric = max(lam / 8.0, floor)
-            inside = geometric <= step < hi
-        else:
-            geometric = float(np.sqrt(lo * hi))
-            inside = lo < step < hi
-        newton = inside and not (newton and abs(gap) > 0.5 * last_gap)
-        lam = step if newton else geometric
-        last_gap = abs(gap)
-    gap, x, lam = best
-    return (x, lam, total) if gap <= tol_floor else None
+                phi = s["gap"]
+                slope = lam * _dot(pnorm._g(x / s["value"][:, None], p), dx) / p
+            step = lam * np.exp(-phi / slope)
+            # an open side of the bracket reaches one geometric step out
+            up, down = hi == np.inf, lo == 0.0
+            geometric = np.where(up, 8.0 * lam,
+                                 np.where(down, np.maximum(lam / 8.0, s["floor"]), np.sqrt(lo * hi)))
+            inside = np.where(up, (lo < step) & (step <= geometric),
+                              np.where(down, geometric <= step, lo < step) & (step < hi))
+        gap = np.abs(s["gap"])
+        s["newton"] = inside & ~(s["newton"] & (gap > 0.5 * s["last_gap"]))
+        s["lam"] = np.where(s["newton"], step, geometric)
+        s["last_gap"] = gap
+    return x_out, lam_out, iters, found
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lps import analysis, ensembles, pnorm
+from lps import analysis, ensembles, pnorm, solvers
 from lps.analysis import ExperimentConfig, SupportReport, support
 from lps.errors import InvalidInputError
 from lps.solvers import (
@@ -129,7 +129,7 @@ class TestTrialFailures:
         d.pop("wall_time_ms")
         return d
 
-    @pytest.mark.parametrize("family", ["bp", "rr", "bpdn_eps"])
+    @pytest.mark.parametrize("family", ["bp", "rr", "bpdn_eps", "bpdn_eta"])
     @pytest.mark.parametrize("stage", ["gen_gaussian_instance", "kkt_residual"])
     def test_failure_isolated(self, monkeypatch, family, stage):
         cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(1.5,))
@@ -153,6 +153,33 @@ class TestTrialFailures:
             if rec.seed == bad_seed:
                 assert rec.status == "error"
                 assert rec.error == "ZeroDivisionError: boom"
+            else:
+                assert self._fields(rec) == self._fields(ref)
+        assert stats.cells[0].failures == 1
+
+    def test_bp_target_failure_isolated(self, monkeypatch):
+        # a bpdn_eta trial's target comes from its chunk's bp stack
+        cfg = ExperimentConfig(family="bpdn_eta", m=4, N=9, trials=6, master_seed=21,
+                               p_grid=(1.5,))
+        clean = analysis.run_genericity_experiment(cfg).trials
+        bad_seed = clean[3].seed
+        bad_y = analysis.gen_gaussian_instance(ensembles.EnsembleSpec(m=4, N=9, seed=bad_seed))[1]
+        inner = solvers.solve_stack
+
+        def faulty(family, A, y, *rest, **params):
+            out = inner(family, A, y, *rest, **params)
+            if family == "bp":
+                out = [ZeroDivisionError("boom") if np.array_equal(yk, bad_y) else r
+                       for yk, r in zip(y, out)]
+            return out
+
+        monkeypatch.setattr(solvers, "solve_stack", faulty)
+        stats = analysis.run_genericity_experiment(cfg)
+        for rec, ref in zip(stats.trials, clean):
+            if rec.seed == bad_seed:
+                assert rec.status == "error"
+                assert rec.error == "ZeroDivisionError: boom"
+                assert rec.constraint_target is None
             else:
                 assert self._fields(rec) == self._fields(ref)
         assert stats.cells[0].failures == 1

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -236,6 +237,19 @@ class TestExperimentCommand:
         m2 = json.loads((tmp_path / "b.csv.manifest.json").read_text())
         assert m1["config_digest"] == m2["config_digest"]
         assert m1["master_seed"] == 7
+
+    def test_manifest_records_numeric_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfgp = self.config(tmp_path)
+        out = tmp_path / "a.csv"
+        assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out)]) == 0
+        env = json.loads((tmp_path / "a.csv.manifest.json").read_text())["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "OPENBLAS_NUM_THREADS",
+                            "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["OPENBLAS_NUM_THREADS"] == "1" and env["MKL_NUM_THREADS"] is None
 
     def test_recovery_summary_has_recovery_fraction(self, tmp_path):
         cfgp = self.config(

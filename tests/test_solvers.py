@@ -4,7 +4,7 @@ import pytest
 from oracles import golden_section, grid_min_1d, grid_min_2d, l1_min_objective
 
 import lps.solvers
-from lps import linalg, pnorm
+from lps import analysis, linalg, pnorm
 from lps.ensembles import EnsembleSpec, gen_gaussian_instance
 from lps.errors import InvalidInputError, RankDeficientError
 from lps.solvers import (
@@ -418,12 +418,13 @@ class TestPathRootFind:
     @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_newton_path_rr_solve_count(self, monkeypatch, family, p):
-        # the criterion-7 shape with the experiment harness's targets
+        # the criterion-7 shape with the experiment harness's targets; each
+        # call of _rr_core solves a stack, so its rows are counted
         calls = []
         rr_core = lps.solvers._rr_core
 
         def counted(*args):
-            calls.append(args[3])
+            calls.append(len(args[3]))
             return rr_core(*args)
 
         monkeypatch.setattr(lps.solvers, "_rr_core", counted)
@@ -437,7 +438,15 @@ class TestPathRootFind:
             res = getattr(lps.solvers, "solve_" + family)(A, y, p, target)
             assert res.converged and res.multiplier > 0
         assert calls, "the path root-find must call lps.solvers._rr_core"
-        assert len(calls) / trials <= 8.0
+        assert sum(calls) / trials <= 8.0
+        # the same bound through the experiment harness, which solves its trials as stacks
+        calls.clear()
+        cfg = analysis.ExperimentConfig(family=family, m=8, N=20, trials=trials,
+                                        master_seed=1000, p_grid=(p,))
+        stats = analysis.run_genericity_experiment(cfg)
+        assert stats.cells[0].failures == 0
+        assert max(calls) > 1
+        assert sum(calls) / trials <= 8.0
 
 
 class TestSolveStack:
@@ -505,6 +514,26 @@ class TestSolveStack:
         for k in (0, 1, 3, 5):
             self._assert_same(batch[k], solve_bp(A[k], y[k], 1.5))
 
+    def test_no_repeated_line_search_failure(self, monkeypatch):
+        # a failed line search moves nothing, so a second try from the same
+        # state would search the same direction again
+        failures = []
+        inner = lps.solvers._line_search
+
+        def spied(br, st, d, slope, failed):
+            moved = inner(br, st, d, slope, failed)
+            failures.extend((br.p, int(st["row"][j]), st["nu" if "nu" in st else "x"][j].tobytes(),
+                             d[j].tobytes()) for j in np.flatnonzero(~moved))
+            return moved
+
+        monkeypatch.setattr(lps.solvers, "_line_search", spied)
+        rng = np.random.default_rng(11)
+        A, y = rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8))
+        for p in (1.02, 1.05):
+            solve_stack("bp", A, y, p, SolverConfig(max_iter_first_order=300))
+        assert failures
+        assert len(set(failures)) == len(failures), "a row failed twice from one state"
+
     def test_rejects_bad_shapes_and_params(self):
         with pytest.raises(InvalidInputError):
             solve_stack("bp", np.ones((2, 3)), np.ones(2), 1.5)
@@ -512,6 +541,111 @@ class TestSolveStack:
             solve_stack("rr", np.ones((1, 2, 3)), np.ones((1, 2)), 1.5, lam=0.0)
         with pytest.raises(InvalidInputError):
             solve_stack("bpdn_eps", np.ones((1, 2, 3)), np.ones((1, 2)), 1.5)
+        with pytest.raises(InvalidInputError):
+            solve_stack("bpdn_eps", np.ones((2, 2, 3)), np.ones((2, 2)), 1.5, eps=[0.1, 0.0])
+        with pytest.raises(InvalidInputError):
+            solve_stack("bpdn_eta", np.ones((2, 2, 3)), np.ones((2, 2)), 1.5, eta=[0.1, 0.2, 0.3])
+
+
+class TestBpdnStack:
+    """A bpdn stack gives each row the bytes, or the exception, of its own solve_bpdn_* call."""
+
+    @staticmethod
+    def _assert_same(a, b):
+        if isinstance(a, Exception):
+            assert (type(a), str(a)) == (type(b), str(b))
+            return
+        TestSolveStack._assert_same(a, b)
+        assert a.reduced_to_bp == b.reduced_to_bp
+
+    def _check(self, family, A, y, p, targets, cfg=None):
+        solve = getattr(lps.solvers, "solve_" + family)
+        singles = []
+        for k in range(len(A)):
+            try:
+                singles.append(solve(A[k], y[k], p, targets[k], cfg))
+            except Exception as exc:
+                singles.append(exc)
+        half = len(A) // 2
+        for lo, hi in ((half, half + 1), (0, min(7, len(A))), (0, len(A))):
+            batch = solve_stack(family, A[lo:hi], y[lo:hi], p, cfg, **{family[5:]: targets[lo:hi]})
+            assert len(batch) == hi - lo
+            for a, b in zip(singles[lo:hi], batch):
+                self._assert_same(a, b)
+        return singles
+
+    @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0, 4.5])
+    def test_batch_matches_batch_of_one(self, family, p):
+        # B = 1, 7 and 24 at the experiment harness's targets
+        rng = np.random.default_rng(int(p * 1000))
+        A, y = rng.normal(size=(24, 8, 20)), rng.normal(size=(24, 8))
+        if family == "bpdn_eps":
+            targets = 0.1 * np.linalg.norm(y, axis=1)
+        else:
+            targets = np.array([0.5 * pnorm.pnorm(r.x, p) for r in solve_stack("bp", A, y, p)])
+        singles = self._check(family, A, y, p, targets)
+        assert all(r.converged and r.multiplier > 0 for r in singles)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_edge_rows(self, p):
+        rng = np.random.default_rng(17)
+        A, y = rng.normal(size=(8, 8, 20)), rng.normal(size=(8, 8))
+        A[2, 3] = A[2, 0]  # rank deficient
+        y[3, 1] = np.nan
+        for k, c in ((4, 1e-6), (5, 1e6)):
+            A[k], y[k] = c * A[0], c * y[0]
+        ny = np.linalg.norm(y, axis=1)
+        eps = 0.1 * ny
+        eps[1] = 2.0 * ny[1]  # eps >= ||y||: x = 0
+        eps[3] = 1.0
+        rows = self._check("bpdn_eps", A, y, p, eps)
+        assert rows[1].converged and not rows[1].x.any() and rows[1].multiplier == 0.0
+        assert isinstance(rows[2], RankDeficientError)
+        assert isinstance(rows[3], InvalidInputError)
+        for k in (0, 4, 5, 6, 7):
+            assert rows[k].converged and rows[k].multiplier > 0
+
+        finite = [k for k in range(8) if k not in (2, 3)]
+        bp_norm = np.ones(8)
+        bp_norm[finite] = [pnorm.pnorm(r.x, p) for r in solve_stack("bp", A[finite], y[finite], p)]
+        eta = 0.5 * bp_norm
+        eta[1] = bp_norm[1]  # at the bp optimum: reduced to bp
+        x_ls = linalg.least_norm_solution(A[6], y[6])
+        eta[6] = 0.9 * float(x_ls @ x_ls) / pnorm.pnorm(x_ls, p / (p - 1.0))  # below the Hoelder bound
+        rows = self._check("bpdn_eta", A, y, p, eta)
+        assert rows[1].reduced_to_bp and rows[1].multiplier == 0.0
+        assert isinstance(rows[2], RankDeficientError)
+        assert isinstance(rows[3], InvalidInputError)
+        for k in (0, 4, 5, 6, 7):
+            assert rows[k].converged and rows[k].multiplier > 0 and not rows[k].reduced_to_bp
+
+    @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
+    def test_wide_rows(self, family):
+        # N >= 64 at p >= 2: _path_dx solves its systems slice by slice; row 1
+        # needs no path (x = 0 or reduced to bp), and in the last stack no row does
+        rng = np.random.default_rng(23)
+        A, y = rng.normal(size=(3, 6, 70)), rng.normal(size=(3, 6))
+        if family == "bpdn_eps":
+            full = np.linalg.norm(y, axis=1)
+        else:
+            full = np.array([pnorm.pnorm(r.x, 3.0) for r in solve_stack("bp", A, y, 3.0)])
+        targets = 0.5 * full
+        targets[1] = full[1]
+        rows = self._check(family, A, y, 3.0, targets)
+        assert rows[0].multiplier > 0 and rows[1].multiplier == 0.0
+        self._check(family, A, y, 3.0, full)
+
+    def test_degenerate_row(self):
+        # bp falls back and stops short on row 13 at p = 1.05 (see
+        # test_first_order_fallback), so a target just under its ||x_bp||_p
+        # lies past the whole path
+        rng = np.random.default_rng(11)
+        A, y = rng.normal(size=(48, 8, 20))[12:15], rng.normal(size=(48, 8))[12:15]
+        cfg = SolverConfig(max_iter_first_order=300)
+        eta = np.array([0.999 * pnorm.pnorm(r.x, 1.05) for r in solve_stack("bp", A, y, 1.05, cfg)])
+        rows = self._check("bpdn_eta", A, y, 1.05, eta, cfg)
+        assert rows[1].status == "degenerate" and rows[1].multiplier is None
 
 
 class TestBpdnEtaDualBound:
@@ -526,10 +660,14 @@ class TestBpdnEtaDualBound:
         bp_norm = pnorm.pnorm(solve_bp(A, y, p).x, p)
         assert bound <= bp_norm * (1.0 + 1e-12)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("solve_bp called below the dual bound")
+        inner = lps.solvers.solve_stack
 
-        monkeypatch.setattr(lps.solvers, "solve_bp", forbidden)
+        def guarded(family, *args, **kwargs):
+            if family == "bp":
+                raise AssertionError("bp solved below the dual bound")
+            return inner(family, *args, **kwargs)
+
+        monkeypatch.setattr(lps.solvers, "solve_stack", guarded)
         res = solve_bpdn_eta(A, y, p, 0.9 * bound)
         assert res.converged and res.multiplier > 0
         assert not res.reduced_to_bp
