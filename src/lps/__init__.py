@@ -26,7 +26,6 @@ from .ensembles import (
     gen_gaussian_instance,
     gen_sparse_measured,
     is_in_set_S,
-    min_pnorm_over_affine,
     rip_constant,
 )
 from .errors import (
@@ -65,7 +64,7 @@ __all__ = [
     "check_dual_jacobian_spd", "check_lower_bound", "perturbation_robustness",
     "run_genericity_experiment", "run_recovery_comparison", "support",
     "EnsembleSpec", "gen_gaussian_instance", "gen_sparse_measured",
-    "is_in_set_S", "min_pnorm_over_affine", "rip_constant",
+    "is_in_set_S", "rip_constant",
     "CapacityError", "InvalidIndexError", "InvalidInputError", "LpsError",
     "NotPositiveDefiniteError", "RankDeficientError", "SingularPointError",
     "UndefinedDerivativeError", "UnsupportedExponentError",

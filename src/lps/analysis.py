@@ -25,7 +25,7 @@ import numpy as np
 from . import pnorm, solvers
 from .ensembles import EnsembleSpec, derive_seed, gen_gaussian_instance, gen_sparse_measured, rng_for
 from .errors import InvalidInputError
-from .solvers import (  # solve_bp stays importable here for callers that wrap it
+from .solvers import (  # kkt_residual and solve_bp stay importable here for callers that wrap them
     CONVERGED,
     ProblemInstance,
     SolveResult,
@@ -54,8 +54,8 @@ __all__ = [
     "RECOVERY_FAMILIES",
 ]
 
-GENERICITY_FAMILIES = ("bp", "rr", "en", "bpdn_eps", "bpdn_eta")
-RECOVERY_FAMILIES = ("bp_l1", "rr_irls")
+GENERICITY_FAMILIES = tuple(f for f, fam in solvers.FAMILIES.items() if fam.stack)  # p > 1
+RECOVERY_FAMILIES = tuple(f for f, fam in solvers.FAMILIES.items() if not fam.stack)
 
 DEFAULT_P_GRID = (1.2, 1.5, 2.0, 3.0, 4.5)
 DEFAULT_SUPPORT_TOL = 1e-6
@@ -353,7 +353,6 @@ class TrialRecord:
     wall_time_ms: float
     full_support: bool = False
     full_support_certified: bool = False  # thresholded support full, or the rest certified
-    lower_bound_ok: bool = False
     min_rel_nonzero: float = 0.0  # smallest |x_i|/||x||_inf over exactly nonzero coords
     constraint_target: Optional[float] = None
     constraint_value: Optional[float] = None
@@ -439,45 +438,45 @@ def _spec(cfg: ExperimentConfig, seed: int) -> EnsembleSpec:
                         sparsity=cfg.sparsity, signal_values=cfg.signal_values)
 
 
-def _draw(cfg: ExperimentConfig, p: float, seed: int):
-    """One genericity trial's instance and its constraint target (bpdn_eps).
+def _instance(cfg: ExperimentConfig, A, y, p: float) -> ProblemInstance:
+    """A trial's instance: p and the parameters its family takes, as cfg holds
+    them (cfg holds no bpdn bound: each trial sets its own eps or eta)."""
+    names = solvers.FAMILIES[cfg.family].params
+    return ProblemInstance(A, y, cfg.family, p=p, **{k: getattr(cfg, k, None) for k in names})
 
-    A bpdn_eta trial's target needs its bp solution; _eta_targets sets it.
+
+def _draw(cfg: ExperimentConfig, p: float, seed: int) -> ProblemInstance:
+    """One genericity trial's instance.
+
+    A bpdn_eps trial's eps is a fraction of ||y||_2.  A bpdn_eta trial's eta
+    needs its bp solution; _eta_targets sets it.
     """
     spec = _spec(cfg, seed)
     if cfg.sparsity is not None:
         A, y, _, _ = gen_sparse_measured(spec)
     else:
         A, y = gen_gaussian_instance(spec)
-    if cfg.family == "bp":
-        return ProblemInstance(A, y, "bp", p=p), None
-    if cfg.family == "rr":
-        return ProblemInstance(A, y, "rr", p=p, lam=cfg.lam), None
-    if cfg.family == "en":
-        return ProblemInstance(A, y, "en", p=p, r=cfg.r, lam1=cfg.lam1, lam2=cfg.lam2), None
+    inst = _instance(cfg, A, y, p)
     if cfg.family == "bpdn_eps":
-        target = (cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION) * float(np.linalg.norm(y))
-        return ProblemInstance(A, y, "bpdn_eps", p=p, eps=target), target
-    if cfg.family == "bpdn_eta":
-        return ProblemInstance(A, y, "bpdn_eta", p=p), None
-    raise InvalidInputError(
-        f"family {cfg.family!r} is not a genericity family {GENERICITY_FAMILIES}"
-    )
+        inst.eps = (cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION) * float(np.linalg.norm(y))
+    return inst
 
 
-def _solve_chunk(family, p, insts, solver_cfg, **params):
+def _solve_chunk(family, p, insts, solver_cfg):
     """(entry of one solve_stack call, ms share) for each instance; an exception
     in place of an instance passes through with no time.
 
-    Each instance is charged an equal share of the call.  The bpdn forms
-    read each instance's own eps or eta.
+    Each instance is charged an equal share of the call.  The parameters are
+    those the family table names, read from the instances: one value per
+    instance where solve_stack takes that (the bpdn bounds), else the first's.
     """
     out = [(inst, 0.0) for inst in insts]
     ok = [k for k, inst in enumerate(insts) if not isinstance(inst, Exception)]
     if not ok:
         return out
-    if family in ("bpdn_eps", "bpdn_eta"):
-        params = {family[5:]: [getattr(insts[k], family[5:]) for k in ok]}
+    fam = solvers.FAMILIES[family]
+    params = {name: [getattr(insts[k], name) for k in ok] if fam.per_row
+              else getattr(insts[ok[0]], name) for name in fam.params}
     start = time.perf_counter()
     results = solvers.solve_stack(family, np.array([insts[k].A for k in ok]),
                                   np.array([insts[k].y for k in ok]), p, solver_cfg, **params)
@@ -494,37 +493,34 @@ def _eta_targets(cfg: ExperimentConfig, p: float, drawn: list, solver_cfg: Solve
     instance.  Each trial's draw time gains an equal share of the bp solve.
     """
     out = []
-    for (trial, seed, inst, _, ms), (bp, share) in zip(
+    for (trial, seed, inst, ms), (bp, share) in zip(
             drawn, _solve_chunk("bp", p, [d[2] for d in drawn], solver_cfg)):
         if isinstance(bp, Exception):  # the bp solve's, or the draw's
-            out.append((trial, seed, bp, None, ms + share))
+            out.append((trial, seed, bp, ms + share))
             continue
         inst.eta = (cfg.eta_fraction or DEFAULT_ETA_FRACTION) * pnorm.pnorm(bp.x, p)
-        out.append((trial, seed, inst, inst.eta, ms + share))
+        out.append((trial, seed, inst, ms + share))
     return out
 
 
-def _genericity_record(cfg, p, trial, seed, inst, res, target) -> TrialRecord:
-    kkt = kkt_residual(inst, res)
+def _genericity_record(cfg, p, trial, seed, inst, res) -> TrialRecord:
     rel = _relative(res.x)
     rep = _support(rel, cfg.support_tol)
     nonzero = rel[rel > 0.0]
-    constraint_value = None
-    multiplier_value = None
-    if cfg.family in ("bpdn_eps", "bpdn_eta"):
-        if cfg.family == "bpdn_eps":
-            constraint_value = float(np.linalg.norm(inst.A @ res.x - inst.y))
-        else:
-            constraint_value = pnorm.pnorm(res.x, p)
-        multiplier_value = float(res.multiplier) if res.multiplier is not None else None
+    target = constraint_value = multiplier_value = None
+    if cfg.family == "bpdn_eps":
+        target, constraint_value = inst.eps, float(np.linalg.norm(inst.A @ res.x - inst.y))
+    elif cfg.family == "bpdn_eta":
+        target, constraint_value = inst.eta, pnorm.pnorm(res.x, p)
+    if target is not None and res.multiplier is not None:
+        multiplier_value = float(res.multiplier)
     return TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
         support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
-        kkt_residual=kkt, iterations=res.iterations, status=res.status,
+        kkt_residual=res.kkt_residual, iterations=res.iterations, status=res.status,
         wall_time_ms=0.0,
         full_support=rep.size == cfg.N,
         full_support_certified=_certified(inst, res, rep),
-        lower_bound_ok=check_lower_bound(rep, cfg.m, cfg.N),
         min_rel_nonzero=float(nonzero.min()) if nonzero.size else 0.0,
         constraint_target=target, constraint_value=constraint_value,
         multiplier_value=multiplier_value,
@@ -547,24 +543,22 @@ def _genericity_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> 
         seed = derive_seed(cfg.master_seed, p_index, trial)
         start = time.perf_counter()
         try:
-            inst, target = _draw(cfg, p, seed)
+            inst = _draw(cfg, p, seed)
         except InvalidInputError:
             raise
         except Exception as exc:
-            inst, target = exc, None
-        drawn.append((trial, seed, inst, target, (time.perf_counter() - start) * 1e3))
+            inst = exc
+        drawn.append((trial, seed, inst, (time.perf_counter() - start) * 1e3))
     if cfg.family == "bpdn_eta":
         drawn = _eta_targets(cfg, p, drawn, solver_cfg)
-    params = {"rr": {"lam": cfg.lam},
-              "en": {"r": cfg.r, "lam1": cfg.lam1, "lam2": cfg.lam2}}.get(cfg.family, {})
-    solved = _solve_chunk(cfg.family, p, [d[2] for d in drawn], solver_cfg, **params)
+    solved = _solve_chunk(cfg.family, p, [d[2] for d in drawn], solver_cfg)
     records = []
-    for (trial, seed, inst, target, draw_ms), (res, solve_ms) in zip(drawn, solved):
+    for (trial, seed, inst, draw_ms), (res, solve_ms) in zip(drawn, solved):
         start = time.perf_counter()
         try:
             if isinstance(res, Exception):
                 raise res
-            rec = _genericity_record(cfg, p, trial, seed, inst, res, target)
+            rec = _genericity_record(cfg, p, trial, seed, inst, res)
         except InvalidInputError:
             raise
         except Exception as exc:
@@ -580,16 +574,7 @@ def _recovery_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRec
     start = time.perf_counter()
     try:
         A, y, x0, _ = gen_sparse_measured(_spec(cfg, seed))
-        if cfg.family == "bp_l1":
-            inst = ProblemInstance(A, y, "bp_l1")
-        elif cfg.family == "rr_irls":
-            inst = ProblemInstance(A, y, "rr_irls", p=p, lam=cfg.lam)
-        else:
-            raise InvalidInputError(
-                f"family {cfg.family!r} is not a recovery family {RECOVERY_FAMILIES}"
-            )
-        res = solve_instance(inst, SolverConfig())
-        kkt = kkt_residual(inst, res)
+        res = solve_instance(_instance(cfg, A, y, p), SolverConfig())
     except InvalidInputError:
         raise
     except Exception as exc:
@@ -601,10 +586,9 @@ def _recovery_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRec
     return TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
         support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
-        kkt_residual=kkt, iterations=res.iterations, status=res.status,
+        kkt_residual=res.kkt_residual, iterations=res.iterations, status=res.status,
         wall_time_ms=elapsed_ms,
         full_support=rep.size == cfg.N,
-        lower_bound_ok=check_lower_bound(rep, cfg.m, cfg.N),
         recovered=recovered,
     )
 

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__, analysis, ensembles, io_text
 from .errors import CapacityError, InvalidInputError, LpsError
-from .solvers import CONVERGED, ProblemInstance, SolverConfig, kkt_residual, solve_instance
+from .solvers import CONVERGED, FAMILIES, ProblemInstance, SolverConfig, solve_instance
 
-CLI_FAMILIES = ("bp", "bpdn-eps", "bpdn-eta", "rr", "en", "bp-l1", "rr-irls")
+CLI_FAMILIES = tuple(f.replace("_", "-") for f in FAMILIES)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,44 +57,11 @@ def _write_manifest(out_path, command, digest, master_seed, started):
 # ---------------------------------------------------------------------------
 
 def _build_instance(args, A, y) -> ProblemInstance:
-    family = args.family.replace("-", "_")
-    if family in ("bp", "bpdn_eps", "bpdn_eta", "rr", "en"):
-        if args.p is None:
-            raise InvalidInputError(f"--family {args.family} requires --p > 1")
-        if args.p <= 1.0:
-            raise InvalidInputError(f"family {args.family} requires p > 1, got p={args.p}")
-    if family == "rr":
-        if args.lam is None or args.lam <= 0:
-            raise InvalidInputError("family rr requires --lambda > 0")
-        return ProblemInstance(A, y, "rr", p=args.p, lam=args.lam)
-    if family == "en":
-        if args.lambda1 is None or args.lambda1 <= 0:
-            raise InvalidInputError("family en requires --lambda1 > 0")
-        if args.lambda2 is None or args.lambda2 <= 0:
-            raise InvalidInputError("family en requires --lambda2 > 0")
-        if args.r < 1.0:
-            raise InvalidInputError("family en requires --r >= 1")
-        return ProblemInstance(A, y, "en", p=args.p, r=args.r,
-                               lam1=args.lambda1, lam2=args.lambda2)
-    if family == "bpdn_eps":
-        if args.eps is None or args.eps <= 0:
-            raise InvalidInputError("family bpdn-eps requires --eps > 0")
-        return ProblemInstance(A, y, "bpdn_eps", p=args.p, eps=args.eps)
-    if family == "bpdn_eta":
-        if args.eta is None or args.eta <= 0:
-            raise InvalidInputError("family bpdn-eta requires --eta > 0")
-        return ProblemInstance(A, y, "bpdn_eta", p=args.p, eta=args.eta)
-    if family == "bp":
-        return ProblemInstance(A, y, "bp", p=args.p)
-    if family == "bp_l1":
-        return ProblemInstance(A, y, "bp_l1")
-    if family == "rr_irls":
-        if args.p is None or not (0.0 < args.p < 1.0):
-            raise InvalidInputError("family rr-irls requires --p in (0, 1)")
-        if args.lam is None or args.lam <= 0:
-            raise InvalidInputError("family rr-irls requires --lambda > 0")
-        return ProblemInstance(A, y, "rr_irls", p=args.p, lam=args.lam)
-    raise InvalidInputError(f"unknown family {args.family!r}")
+    """The --family instance with every parameter flag in its field; the
+    family reads the ones it takes, and the solver validates them."""
+    return ProblemInstance(A, y, args.family.replace("-", "_"), p=args.p, lam=args.lam,
+                           lam1=args.lambda1, lam2=args.lambda2, r=args.r, eps=args.eps,
+                           eta=args.eta)
 
 
 def cmd_solve(args) -> int:
@@ -113,7 +80,6 @@ def cmd_solve(args) -> int:
                 raise InvalidInputError("--max-iter must be >= 1")
             cfg.max_iter = args.max_iter
         res = solve_instance(inst, cfg)
-        kkt = kkt_residual(inst, res) if res.status == CONVERGED else res.kkt_residual
     except (LpsError, OSError) as exc:
         return _fail(str(exc))
 
@@ -128,7 +94,7 @@ def cmd_solve(args) -> int:
         "N": A.shape[1],
         "status": res.status,
         "objective": res.objective,
-        "kkt_residual": kkt,
+        "kkt_residual": res.kkt_residual,
         "iterations": res.iterations,
         "solution": res.x.tolist(),
         "multiplier": multiplier,

@@ -14,9 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg, pnorm
+from . import linalg
 from .errors import CapacityError, InvalidInputError
-from .solvers import SolverConfig, solve_bp
 
 __all__ = [
     "EnsembleSpec",
@@ -26,7 +25,6 @@ __all__ = [
     "gen_sparse_measured",
     "is_in_set_S",
     "rip_constant",
-    "min_pnorm_over_affine",
     "SUBSET_CAP",
 ]
 
@@ -41,15 +39,12 @@ class EnsembleSpec:
     m: int
     N: int
     seed: int
-    distribution: str = "gaussian"
     sparsity: Optional[int] = None
     signal_values: str = "pm_one"  # or "gaussian"
 
     def __post_init__(self):
         if self.m < 1 or self.N < 1:
             raise InvalidInputError("m and N must be positive")
-        if self.distribution != "gaussian":
-            raise InvalidInputError(f"unsupported distribution {self.distribution!r}")
         if self.sparsity is not None and not (1 <= self.sparsity <= self.N):
             raise InvalidInputError("sparsity must satisfy 1 <= s <= N")
         if self.signal_values not in ("pm_one", "gaussian"):
@@ -165,9 +160,3 @@ def rip_constant(A, k: int, cap: int = SUBSET_CAP) -> float:
         eigs = np.linalg.eigvalsh(grams)
         delta = max(delta, float((eigs[:, -1] - 1.0).max()), float((1.0 - eigs[:, 0]).max()))
     return delta
-
-
-def min_pnorm_over_affine(A, y, p, cfg: SolverConfig | None = None) -> float:
-    """min {||x||_p : A x = y}: the p-norm of the basis-pursuit solution."""
-    res = solve_bp(A, y, p, cfg)
-    return pnorm.pnorm(res.x, p)

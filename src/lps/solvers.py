@@ -21,31 +21,40 @@ iterations; for p >= 2 the derivative g' is globally defined and plain
 (primal) Newton systems are used.  A projected-gradient / first-order
 fallback covers line-search breakdowns.
 
+One table, FAMILIES, holds each family's facts: the ProblemInstance fields
+it takes, the range of p, its solve function and its KKT residual kernel.
+Everything that dispatches on the family tag reads it: validation
+(_checked), solve_instance, solve_stack and kkt_residual.  Each residual is
+written once, row by row over a stack; the solvers fill
+SolveResult.kkt_residual with it, and the public kkt_residual runs it on a
+stack of one, so the two agree bit for bit.
+
 bp, rr and en run through one damped-Newton driver (_newton) over a stack
 of same-shape instances that share p and the parameters (solve_stack).
 Each of the six branches (bp dual and bp primal on null(A); rr residual
 and rr primal; en inverse-map and en primal) supplies its start point,
 stopping measure, Newton direction and merit; the driver keeps every
-per-instance state in arrays.  The bpdn forms run their Pareto-path
-root-find (_rr_path_root) over a stack in lockstep: each round solves the
-active instances' rr, each at its own lam, as one stack.  Every step works
-row by row, so an instance's result does not depend on the other instances
-of its stack: solve_bp, solve_rr, solve_en and the solve_bpdn_* functions
-are stacks of one.  Validation happens at the public functions; the inner
-loops call unchecked pnorm kernels.
+per-instance state in arrays, and p alone picks the branch.  The bpdn
+forms run their Pareto-path root-find (_rr_path_root) over a stack in
+lockstep: each round solves the active instances' rr, each at its own
+lam, as one stack.  Every step works row by row, so an instance's result
+does not depend on the other instances of its stack: solve_bp, solve_rr,
+solve_en and the solve_bpdn_* functions are stacks of one.  Validation
+happens at the public functions; the inner loops call unchecked pnorm
+kernels.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.linalg
 
 from . import pnorm
-from .errors import InvalidInputError, RankDeficientError
+from .errors import InvalidInputError, RankDeficientError, UnsupportedExponentError
 
 __all__ = [
     "SolverConfig",
@@ -63,8 +72,6 @@ __all__ = [
     "solve_instance",
     "kkt_residual",
 ]
-
-FAMILIES = ("bp", "bpdn_eps", "bpdn_eta", "rr", "en", "bp_l1", "rr_irls")
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -96,7 +103,6 @@ class SolverConfig:
     bisection_tol: float = 1e-10
     ls_shrink: float = 0.5
     ls_decrease: float = 1e-4
-    algorithm: str = "auto"
 
     def validate(self):
         if self.kkt_tol <= 0 or self.bisection_tol <= 0:
@@ -158,13 +164,6 @@ def _validated(A, y):
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(y)):
         raise InvalidInputError("A or y contains non-finite entries")
     return A, y
-
-
-def _require_p_gt1(p):
-    p = float(p)
-    if not np.isfinite(p) or p <= 1.0:
-        raise InvalidInputError(f"this family requires p > 1, got p={p}")
-    return p
 
 
 def _gram_cho(A):
@@ -398,42 +397,22 @@ def _keep(br, st, keep):
 
 
 def _run(br, out, rows):
-    """Solve the instances `rows` of br; out[rows[j]] gets the j-th result.
-
-    With algorithm="projected_gradient" each runs the first-order method
-    from the branch's start point; otherwise the Newton driver runs.
-    """
+    """Solve the instances `rows` of br by the Newton driver; out[rows[j]] gets the j-th result."""
     if not len(rows):
         return
     sub = [None] * len(rows)
     if len(rows) < br.size:
         br = br.take(rows)
-    if br.cfg.algorithm == "projected_gradient":
-        for j in range(len(rows)):
-            sub[j] = br.first_order(j, None, 0)
-    else:
-        _newton(br, sub)
+    _newton(br, sub)
     for k, r in zip(rows, sub):
         out[k] = r
 
 
-def _branch(family, p, algorithm):
-    """The branch class of `family` for `algorithm`: the first of
-    _BRANCHES[family] needs p <= 2 (h' global), the second p >= 2 (g' global)."""
+def _branch(family, p):
+    """The branch class of `family` at p: the first of _BRANCHES[family]
+    needs p <= 2 (h' global), the second p >= 2 (g' global)."""
     low, high = _BRANCHES[family]
-    if algorithm == "auto":
-        return low if p < 2.0 else high
-    if algorithm == low.name:
-        if p > 2.0:
-            raise InvalidInputError(f"{low.name} requires 1 < p <= 2 (h' must be global)")
-        return low
-    if algorithm == high.name:
-        if p < 2.0:
-            raise InvalidInputError(f"{high.name} requires p >= 2 (g' must be global)")
-        return high
-    if algorithm == "projected_gradient":
-        return low
-    raise InvalidInputError(f"unknown algorithm {algorithm!r} for {family}")
+    return low if p < 2.0 else high
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +430,8 @@ class _Bp(_Stack):
         return _tmv(self.A, _solve(self.G, self.y)[0])
 
     def solution(self, rows, x, nu, iters, ok):
-        A, y, p = self.A[rows], self.y[rows], self.p
-        kkt = _amax(pnorm._g(x, p) - _tmv(A, nu)) + _amax(_mv(A, x) - y)
-        obj = pnorm._pow_sum(x, p) ** (1.0 / p)
+        kkt = _kkt_bp(self.A[rows], self.y[rows], x, nu, self.p)
+        obj = pnorm._pow_sum(x, self.p) ** (1.0 / self.p)
         return [SolveResult(x[j], nu[j], float(obj[j]), float(kkt[j]), iters,
                             CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
@@ -473,7 +451,6 @@ class _BpDual(_Bp):
     -F(nu) = y - A h(A^T nu) and whose negative Hessian A diag(h'(A^T nu)) A^T
     is positive semi-definite."""
 
-    name = "dual_newton"
     stacked = _Bp.stacked + ("ny",)
 
     def __init__(self, A, y, p, cfg):
@@ -526,7 +503,6 @@ class _BpPrimal(_Bp):
     Z^T diag(g'(x)) Z, with a shift relative to max g'(x) when some g'(x_i)
     sits near zero."""
 
-    name = "primal_dual_newton"
     stacked = _Bp.stacked + ("Z",)
 
     def __init__(self, A, y, p, cfg):
@@ -566,7 +542,7 @@ class _BpPrimal(_Bp):
         return self.first_order(j, st["x"][j], it)
 
 
-def _bp_stack(branch, A, y, p, cfg):
+def _bp_stack(A, y, p, cfg):
     """bp on a stack of finite instances: one entry per instance, a SolveResult or an exception."""
     B, m, N = A.shape
     out = [None] * B
@@ -577,6 +553,7 @@ def _bp_stack(branch, A, y, p, cfg):
     if not rows.size:
         return out
     sel = _all_or(rows, B)
+    branch = _branch("bp", p)
     br = branch(A[sel], y[sel], p, cfg)
     rank = _full_rank(br.G)
     for j in np.flatnonzero(~rank):
@@ -664,12 +641,12 @@ def solve_bp(A, y, p, cfg: SolverConfig | None = None) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 class _Smooth(_Stack):
-    """rr and en: a smooth objective, stationarity (kkt) as the max-norm of
-    its gradient, and BB first-order descent as the fallback."""
+    """rr and en: a smooth objective, its gradient, the family's KKT residual
+    (kkt), and BB first-order descent as the fallback."""
 
     def solution(self, rows, x, iters, ok):
         obj = self.objective(x, rows)
-        kkt = _amax(self.gradient(x, rows))
+        kkt = self.kkt(x, rows)
         return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), iters,
                             CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
@@ -704,8 +681,10 @@ class _Rr(_Smooth):
         return 0.5 * _dot(r, r) + self.lam[rows, 0] * pnorm._pow_sum(x, self.p)
 
     def gradient(self, x, rows=slice(None)):
-        A = self.A[rows]
-        return _tmv(A, _mv(A, x) - self.y[rows]) + self.lam[rows] * pnorm._g(x, self.p)
+        return _rr_gradient(self.A[rows], self.y[rows], x, self.p, self.lam[rows])
+
+    def kkt(self, x, rows):
+        return _kkt_rr(self.A[rows], self.y[rows], x, None, self.p, self.lam[rows])
 
 
 class _RrResidual(_Rr):
@@ -713,7 +692,6 @@ class _RrResidual(_Rr):
     Newton in the residual w = y - A x; its Jacobian I + A diag(h'/lam) A^T
     is symmetric positive definite.  The merit is |G(w)|^2."""
 
-    name = "fixed_point"
     slack = 0.0
 
     def _at(self, w, rows):
@@ -741,7 +719,6 @@ class _RrResidual(_Rr):
 class _RrPrimal(_Rr):
     """p >= 2: Newton on the stationarity system, matrix A^T A + lam diag(g'(x))."""
 
-    name = "primal_dual_newton"
     stacked = _Rr.stacked + ("AtA",)
 
     def __init__(self, A, y, p, cfg, lam, warm):
@@ -771,7 +748,12 @@ def _descent(G, d):
     return d, slope, None
 
 
-def _rr_stack(branch, A, y, p, cfg, lam, warm=None):
+def _rr_gradient(A, y, x, p, lam):
+    """The rr gradient A^T (A x - y) + lam g(x) of every row; lam a scalar or a column."""
+    return _tmv(A, _mv(A, x) - y) + lam * pnorm._g(x, p)
+
+
+def _rr_stack(A, y, p, cfg, lam, warm=None):
     """rr on a stack of finite instances, row k at lam (a scalar) or lam[k]."""
     B, m, N = A.shape
     out = [None] * B
@@ -782,7 +764,7 @@ def _rr_stack(branch, A, y, p, cfg, lam, warm=None):
     rows = np.flatnonzero(~zero)
     if rows.size:
         sel = _all_or(rows, B)
-        br = branch(A[sel], y[sel], p, cfg, lam[sel], None if warm is None else warm[sel])
+        br = _branch("rr", p)(A[sel], y[sel], p, cfg, lam[sel], None if warm is None else warm[sel])
         sub = [None] * rows.size
         _run(br, sub, np.arange(rows.size))
         for k, r in zip(rows, sub):
@@ -806,7 +788,7 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
 def _rr_core(A, y, p, lam, cfg, warm) -> list:
     """rr on a stack of validated instances, row k at lam[k] and from warm[k]
     (or the ridge start when warm is None): the inner solves of the bpdn path."""
-    return _rr_stack(_branch("rr", p, cfg.algorithm), A, y, p, cfg, lam, warm)
+    return _rr_stack(A, y, p, cfg, lam, warm)
 
 
 def _first_order(one, x0, iters_used=0):
@@ -881,21 +863,26 @@ class _En(_Smooth):
         self.scale = _amax(self.aty)
         self.x0 = _solve(_add_diag(self.AtA.copy(), 2.0 * (lam1 + lam2)), self.aty)[0]
 
-    def _coef(self, fpow):
-        """(r lam1 / p) ||x||_p^(r-p) from fpow = ||x||_p^p; 0 at x = 0."""
-        nz = fpow > 0.0
-        return np.where(nz, (self.r * self.lam1 / self.p)
-                        * np.where(nz, fpow, 1.0) ** ((self.r - self.p) / self.p), 0.0)
-
     def objective(self, x, rows=slice(None)):
         res = _mv(self.A[rows], x) - self.y[rows]
         norm_r = (pnorm._pow_sum(x, self.p) ** (1.0 / self.p)) ** self.r
         return 0.5 * _dot(res, res) + self.lam1 * norm_r + self.lam2 * _dot(x, x)
 
     def gradient(self, x, rows=slice(None)):
-        A = self.A[rows]
-        base = _tmv(A, _mv(A, x) - self.y[rows]) + 2.0 * self.lam2 * x
-        return base + self._coef(pnorm._pow_sum(x, self.p))[:, None] * pnorm._g(x, self.p)
+        return _en_gradient(self.A[rows], self.y[rows], x, self.p, self.r, self.lam1, self.lam2)
+
+    def kkt(self, x, rows):
+        return _kkt_en(self.A[rows], self.y[rows], x, None, self.p, self.r, self.lam1, self.lam2)
+
+
+def _en_gradient(A, y, x, p, r, lam1, lam2):
+    """The en gradient A^T (A x - y) + 2 lam2 x + (r lam1 / p) ||x||_p^(r-p) g(x)
+    of every row, without the last term at x = 0."""
+    base = _tmv(A, _mv(A, x) - y) + 2.0 * lam2 * x
+    fpow = pnorm._pow_sum(x, p)
+    nz = fpow > 0.0
+    coef = np.where(nz, (r * lam1 / p) * np.where(nz, fpow, 1.0) ** ((r - p) / p), 0.0)
+    return base + coef[:, None] * pnorm._g(x, p)
 
 
 class _EnInverse(_En):
@@ -904,8 +891,6 @@ class _EnInverse(_En):
     / (r lam1).  Psi is continuously differentiable wherever x != 0 (the
     crossing of a coordinate through zero is smooth, unlike the x-space
     Hessian, which blows up).  The merit is |Psi|."""
-
-    name = "fixed_point"
 
     def _at(self, x, rows):
         p, r = self.p, self.r
@@ -939,8 +924,6 @@ class _EnPrimal(_En):
     """p >= 2: Newton with the exact Hessian of ||x||_p^r,
     (r/p) ||x||_p^(r-p) [diag(g'(x)) + ((r-p) / (p ||x||_p^p)) g(x) g(x)^T]."""
 
-    name = "primal_dual_newton"
-
     def start(self):
         return {"x": self.x0.copy(), "merit": self.objective(self.x0)}
 
@@ -962,16 +945,12 @@ class _EnPrimal(_En):
         return {"x": x, "merit": self.objective(x, rows)}
 
 
-def _en_stack(branch, A, y, p, cfg, r, lam1, lam2):
+def _en_stack(A, y, p, cfg, r, lam1, lam2):
+    """en on a stack of finite instances; a row whose residual at x = 0 is 0 needs no solve."""
     B, m, N = A.shape
     out = [None] * B
-    aty = _tmv(A, y)
-    zero = ~np.any(aty, axis=1)
-    if r == 1.0:
-        # x = 0 is optimal iff the dual-norm subgradient condition holds
-        q = p / (p - 1.0)
-        zero |= pnorm._pow_sum(aty, q) ** (1.0 / q) <= lam1
-    br = branch(A, y, p, cfg, r, lam1, lam2)
+    zero = _kkt_en(A, y, np.zeros((B, N)), None, p, r, lam1, lam2) == 0.0
+    br = _branch("en", p)(A, y, p, cfg, r, lam1, lam2)
     rows = np.flatnonzero(zero)
     for k, res in zip(rows, br.solution(rows, np.zeros((rows.size, N)), 0, np.ones(rows.size, bool))):
         out[k] = res
@@ -990,8 +969,7 @@ def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveRe
     Newton with the exact Hessian of ||.||_p^r for p >= 2; for 1 < p <= 2
     a damped Newton iteration on the inverse-map form of the stationarity
     system (which stays smooth as coordinates cross zero).  A BB + Armijo
-    first-order method backs both up and is selectable as
-    algorithm="projected_gradient".  A batch of one through the stacked
+    first-order method backs both up.  A batch of one through the stacked
     driver (see solve_stack).
     """
     return _raised(solve_stack("en", *_one(A, y), p, cfg, r=r, lam1=lam1, lam2=lam2)[0])
@@ -1010,34 +988,6 @@ def _raised(entry):
     if isinstance(entry, Exception):
         raise entry
     return entry
-
-
-def _stack_params(family, params, B):
-    if family == "bp":
-        return {}
-    if family == "rr":
-        lam = float(params["lam"])
-        if not lam > 0:
-            raise InvalidInputError(f"rr requires lam > 0, got {lam}")
-        return {"lam": lam}
-    if family == "en":
-        r, lam1, lam2 = float(params["r"]), float(params["lam1"]), float(params["lam2"])
-        if not r >= 1.0:
-            raise InvalidInputError(f"en requires r >= 1, got r={r}")
-        if not (lam1 > 0 and lam2 > 0):
-            raise InvalidInputError("en requires lam1 > 0 and lam2 > 0")
-        return {"r": r, "lam1": lam1, "lam2": lam2}
-    if family in ("bpdn_eps", "bpdn_eta"):
-        name = family[5:]
-        try:
-            v = np.broadcast_to(np.asarray(params[name], dtype=float), (B,))
-        except (KeyError, TypeError, ValueError):
-            raise InvalidInputError(f"{family} requires {name}: a scalar or one "
-                                    f"value per instance") from None
-        if not np.all(v > 0):
-            raise InvalidInputError(f"{family} requires {name} > 0, got {float(v[~(v > 0)][0])}")
-        return {name: v}
-    raise InvalidInputError(f"solve_stack takes bp, rr, en, bpdn_eps or bpdn_eta, got {family!r}")
 
 
 def _rows_of(params, rows):
@@ -1067,24 +1017,23 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
     if A.ndim != 3 or y.shape != A.shape[:2]:
         raise InvalidInputError(f"need A of shape (B, m, N) and y of shape (B, m), "
                                 f"got {A.shape} and {y.shape}")
-    p = _require_p_gt1(p)
-    params = _stack_params(family, params, len(A))
-    branch = _branch(family, p, cfg.algorithm) if family in _BRANCHES else None
+    fam, args = _checked(family, dict(params, p=p), len(A))
+    if fam.stack is None:
+        raise InvalidInputError(f"solve_stack takes the p > 1 families, got {family!r}")
     out = [None] * len(A)
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(y).all(axis=1)
     for k in np.flatnonzero(~finite):
         out[k] = InvalidInputError("A or y contains non-finite entries")
     rows = np.flatnonzero(finite)
-    solve = _STACKS[family]
     try:
         sel = _all_or(rows, len(A))
-        sub = solve(branch, A[sel], y[sel], p, cfg, **_rows_of(params, sel))
+        sub = fam.stack(A[sel], y[sel], cfg=cfg, **_rows_of(args, sel))
     except Exception as exc:  # keep one instance's fault out of the others' results
         if len(rows) == 1:
             sub = [exc]
         else:
-            sub = [solve_stack(family, A[k:k + 1], y[k:k + 1], p, cfg,
-                               **_rows_of(params, slice(k, k + 1)))[0] for k in rows]
+            sub = [solve_stack(family, A[k:k + 1], y[k:k + 1], cfg=cfg,
+                               **_rows_of(args, slice(k, k + 1)))[0] for k in rows]
     for k, r in zip(rows, sub):
         out[k] = r
     return out
@@ -1098,7 +1047,7 @@ def _full_row_rank(family, A, out):
     return np.flatnonzero(rank)
 
 
-def _bpdn_eps_stack(branch, A, y, p, cfg, eps):
+def _bpdn_eps_stack(A, y, p, cfg, eps):
     B, m, N = A.shape
     out = [None] * B
     ny = np.sqrt(_dot(y, y))
@@ -1111,9 +1060,7 @@ def _bpdn_eps_stack(branch, A, y, p, cfg, eps):
     x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, cfg.bisection_tol * ny[rows],
                                          1e-8 * ny[rows])
     mu = 1.0 / (2.0 * lam)
-    r = _mv(A, x) - y
-    kkt = (_amax(pnorm._g(x, p) + 2.0 * mu[:, None] * _tmv(A, r))
-           + np.maximum(0.0, np.sqrt(_dot(r, r)) - eps))
+    kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
     obj = pnorm._pow_sum(x, p) ** (1.0 / p)
     for j, k in enumerate(rows):
         out[k] = (SolveResult(x[j], float(mu[j]), float(obj[j]), float(kkt[j]), int(iters[j]),
@@ -1123,13 +1070,13 @@ def _bpdn_eps_stack(branch, A, y, p, cfg, eps):
 
 
 def _bp_of(A, y, p, cfg, rows):
-    """{k: bp entry of row k} for `rows`, from one bp stack; bp picks its own branch."""
+    """{k: bp entry of row k} for `rows`, from one bp stack."""
     if not len(rows):
         return {}
-    return dict(zip(rows, solve_stack("bp", A[rows], y[rows], p, replace(cfg, algorithm="auto"))))
+    return dict(zip(rows, solve_stack("bp", A[rows], y[rows], p, cfg)))
 
 
-def _bpdn_eta_stack(branch, A, y, p, cfg, eta):
+def _bpdn_eta_stack(A, y, p, cfg, eta):
     B, m, N = A.shape
     out = [None] * B
     rows = _full_row_rank("bpdn_eta", A, out)
@@ -1145,16 +1092,16 @@ def _bpdn_eta_stack(branch, A, y, p, cfg, eta):
     for k, b in bp.items():
         if isinstance(b, Exception):
             out[k] = b
-        elif pnorm.pnorm(b.x, p) <= eta[k]:
+        elif pnorm.pnorm(b.x, p) <= eta[k]:  # reduced to bp: the multiplier is 0
+            kkt = _kkt_bpdn_eta(A[k:k + 1], y[k:k + 1], b.x[None], np.zeros(1), p, eta[k])
             out[k] = SolveResult(b.x, 0.0, float(np.linalg.norm(A[k] @ b.x - y[k])),
-                                 b.kkt_residual, b.iterations, b.status, reduced_to_bp=True)
+                                 float(kkt[0]), b.iterations, b.status, reduced_to_bp=True)
     rows = np.array([k for k in rows if out[k] is None], dtype=int)
     x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, False, eta[rows],
                                         cfg.bisection_tol * eta[rows], 1e-8 * eta[rows])
     bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
     r = _mv(A[rows], x) - y[rows]
-    kkt = (_amax(_tmv(A[rows], r) + mu[:, None] * pnorm._g(x, p))
-           + np.maximum(0.0, pnorm._pow_sum(x, p) ** (1.0 / p) - eta[rows]))
+    kkt = _kkt_bpdn_eta(A[rows], y[rows], x, mu, p, eta[rows])
     obj = np.sqrt(_dot(r, r))
     for j, k in enumerate(rows):
         if found[j]:
@@ -1170,8 +1117,6 @@ def _bpdn_eta_stack(branch, A, y, p, cfg, eta):
 
 _BRANCHES = {"bp": (_BpDual, _BpPrimal), "rr": (_RrResidual, _RrPrimal),
              "en": (_EnInverse, _EnPrimal)}
-_STACKS = {"bp": _bp_stack, "rr": _rr_stack, "en": _en_stack,
-           "bpdn_eps": _bpdn_eps_stack, "bpdn_eta": _bpdn_eta_stack}
 
 
 def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult:
@@ -1244,7 +1189,7 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
     """
     # inner solves are polished well below the match tolerance so the path
     # value and its slope carry negligible noise
-    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3), algorithm="auto")
+    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))
     B, m, N = A.shape
     lam = (A * A).reshape(B, m * N).mean(axis=1)
     x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
@@ -1326,6 +1271,7 @@ def solve_bp_l1(A, y, cfg: SolverConfig | None = None) -> SolveResult:
     cfg = cfg or SolverConfig()
     cfg.validate()
     A, y = _validated(A, y)
+    _checked("bp_l1", {})
     cho = _gram_cho(A)
     if cho is None:
         raise RankDeficientError("bp_l1 requires A with full row rank")
@@ -1352,12 +1298,7 @@ def solve_bp_l1(A, y, cfg: SolverConfig | None = None) -> SolveResult:
             break
     x_out = _project(A, cho, y, z)
     nu = rho * scipy.linalg.cho_solve(cho, A @ u, check_finite=False)
-    gap = abs(float(np.abs(x_out).sum()) - float(y @ nu))
-    kkt = float(
-        np.abs(A @ x_out - y).max()
-        + max(0.0, float(np.abs(A.T @ nu).max()) - 1.0)
-        + gap
-    )
+    kkt = float(_kkt_bp_l1(A[None], y[None], x_out[None], nu[None])[0])
     return SolveResult(
         x=x_out, multiplier=nu, objective=float(np.abs(x_out).sum()),
         kkt_residual=kkt, iterations=it + 1, status=status,
@@ -1381,12 +1322,8 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
     cfg = cfg or SolverConfig()
     cfg.validate()
     A, y = _validated(A, y)
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise InvalidInputError(f"rr_irls requires 0 < p < 1, got p={p}")
-    lam = float(lam)
-    if lam <= 0:
-        raise InvalidInputError(f"rr_irls requires lam > 0, got {lam}")
+    _, args = _checked("rr_irls", {"p": p, "lam": lam})
+    p, lam = args["p"], args["lam"]
 
     n = A.shape[1]
     if not np.any(A.T @ y):
@@ -1418,10 +1355,10 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
             break
         eps = max(eps * _IRLS_EPS_SHRINK, _IRLS_EPS_FINAL)
 
-    station = aty - AtA @ x - lam * p * x * (x * x + _IRLS_EPS_FINAL) ** (p / 2.0 - 1.0)
     status = CONVERGED if final_inner_converged else MAX_ITER
     obj = 0.5 * float(np.sum((A @ x - y) ** 2)) + lam * pnorm.pnorm_pow(x, p)
-    return SolveResult(x, None, obj, float(np.abs(station).max()), iters, status)
+    kkt = float(_kkt_rr_irls(A[None], y[None], x[None], None, p, lam)[0])
+    return SolveResult(x, None, obj, kkt, iters, status)
 
 
 def smoothed_irls_objective(A, y, x, p, lam, eps):
@@ -1431,112 +1368,149 @@ def smoothed_irls_objective(A, y, x, p, lam, eps):
 
 
 # ---------------------------------------------------------------------------
-# unified dispatch and diagnostics
+# the family table: one KKT residual per family, validation, dispatch
 # ---------------------------------------------------------------------------
 
+def _kkt_bp(A, y, x, nu, p):
+    """bp: ||g(x) - A^T nu||_inf + ||A x - y||_inf."""
+    return _amax(pnorm._g(x, p) - _tmv(A, nu)) + _amax(_mv(A, x) - y)
+
+
+def _kkt_bpdn_eps(A, y, x, mu, p, eps):
+    """bpdn_eps: ||g(x) + 2 mu A^T (A x - y)||_inf plus the excess of ||A x - y||_2 over eps."""
+    r = _mv(A, x) - y
+    return (_amax(pnorm._g(x, p) + 2.0 * mu[:, None] * _tmv(A, r))
+            + np.maximum(0.0, np.sqrt(_dot(r, r)) - eps))
+
+
+def _kkt_bpdn_eta(A, y, x, mu, p, eta):
+    """bpdn_eta: the rr stationarity at lam = mu plus the excess of ||x||_p over eta."""
+    return (_amax(_rr_gradient(A, y, x, p, mu[:, None]))
+            + np.maximum(0.0, pnorm._pow_sum(x, p) ** (1.0 / p) - eta))
+
+
+def _kkt_rr(A, y, x, _, p, lam):
+    """rr: ||A^T (A x - y) + lam g(x)||_inf."""
+    return _amax(_rr_gradient(A, y, x, p, lam))
+
+
+def _kkt_en(A, y, x, _, p, r, lam1, lam2):
+    """en: the max-norm of the gradient; for r = 1 at x = 0, where ||x||_p has
+    no gradient, the excess of the dual norm ||A^T y||_q over lam1 (x = 0 is
+    optimal iff it is 0)."""
+    kkt = _amax(_en_gradient(A, y, x, p, r, lam1, lam2))
+    zero = ~x.any(axis=-1)
+    if r == 1.0 and zero.any():
+        q = p / (p - 1.0)
+        kkt[zero] = np.maximum(0.0, pnorm._pow_sum(_tmv(A[zero], y[zero]), q) ** (1.0 / q) - lam1)
+    return kkt
+
+
+def _kkt_bp_l1(A, y, x, nu):
+    """bp_l1: ||A x - y||_inf + (||A^T nu||_inf - 1)_+ + the duality gap."""
+    gap = np.abs(x).sum(axis=-1) - _mv(y[:, None], nu)[:, 0]  # y^T nu by BLAS, not _dot
+    return _amax(_mv(A, x) - y) + np.maximum(0.0, _amax(_tmv(A, nu)) - 1.0) + np.abs(gap)
+
+
+def _kkt_rr_irls(A, y, x, _, p, lam):
+    """rr_irls: the max-norm of the gradient of the objective smoothed at the final eps."""
+    w = (x * x + _IRLS_EPS_FINAL) ** (p / 2.0 - 1.0)
+    return _amax(_tmv(A, _mv(A, x) - y) + lam * p * x * w)
+
+
+@dataclass(frozen=True)
+class _Family:
+    """What the code needs to know of one family."""
+
+    params: tuple                     # its ProblemInstance fields besides p
+    p_range: Optional[tuple]          # the open interval p must lie in; None: no p
+    solve: Callable                   # solve_<family>
+    kkt: Callable                     # its residual: (A, y, x, multiplier, p, **params) on stacks
+    stack: Optional[Callable] = None  # solve_stack's solver for it (the p > 1 families)
+    per_row: bool = False             # solve_stack takes one value per instance of each param
+    multiplier: Optional[str] = None  # the multiplier its residual needs
+
+
+_P_GT1 = (1.0, np.inf)
+FAMILIES = {
+    "bp": _Family((), _P_GT1, solve_bp, _kkt_bp, _bp_stack, multiplier="nu"),
+    "bpdn_eps": _Family(("eps",), _P_GT1, solve_bpdn_eps, _kkt_bpdn_eps, _bpdn_eps_stack,
+                        per_row=True, multiplier="mu"),
+    "bpdn_eta": _Family(("eta",), _P_GT1, solve_bpdn_eta, _kkt_bpdn_eta, _bpdn_eta_stack,
+                        per_row=True, multiplier="mu"),
+    "rr": _Family(("lam",), _P_GT1, solve_rr, _kkt_rr, _rr_stack),
+    "en": _Family(("r", "lam1", "lam2"), _P_GT1, solve_en, _kkt_en, _en_stack),
+    "bp_l1": _Family((), None, solve_bp_l1, _kkt_bp_l1, multiplier="nu"),
+    "rr_irls": _Family(("lam",), (0.0, 1.0), solve_rr_irls, _kkt_rr_irls),
+}
+
+# each parameter's name in messages (the CLI flag and config key) and its bound
+_BOUNDS = {"lam": ("lambda", ">", 0.0), "lam1": ("lambda1", ">", 0.0),
+           "lam2": ("lambda2", ">", 0.0), "r": ("r", ">=", 1.0),
+           "eps": ("eps", ">", 0.0), "eta": ("eta", ">", 0.0)}
+
+
+def _checked(family, values, B=None):
+    """(FAMILIES[family], {"p": p, param: value}) from `values`, validated.
+
+    p and each parameter of the family must be numbers in their ranges.
+    For a stack of B instances a per_row family's parameters may hold one
+    value per instance, and they come back as arrays of length B.
+    """
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise InvalidInputError(f"unknown family {family!r}")
+    args = {}
+    if fam.p_range:
+        lo, hi = fam.p_range
+        try:
+            p = float(values.get("p"))
+        except (TypeError, ValueError):
+            p = np.nan  # no p, or not a number: fails the range test
+        if not lo < p < hi:
+            raise UnsupportedExponentError(f"{family} requires p in ({lo:g}, {hi:g}), "
+                                           f"got p={values.get('p')!r}")
+        args["p"] = p
+    per_row = fam.per_row and B is not None
+    for name in fam.params:
+        label, op, bound = _BOUNDS[name]
+        rule = f"{family} requires {label} {op} {bound:g}"
+        v = values.get(name)
+        if v is None:
+            raise InvalidInputError(rule)
+        try:
+            v = np.broadcast_to(np.asarray(v, dtype=float), (B,)) if per_row else float(v)
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"{rule}{' per instance' if per_row else ''}, got {v!r}") from None
+        a = np.asarray(v)
+        ok = a >= bound if op == ">=" else a > bound
+        if not ok.all():
+            raise InvalidInputError(f"{rule}, got {float(a[~ok][0])}")
+        args[name] = v
+    return fam, args
+
+
 def solve_instance(inst: ProblemInstance, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve a ProblemInstance by dispatching on its family tag."""
-    f = inst.family
-    if f == "bp":
-        return solve_bp(inst.A, inst.y, inst.p, cfg)
-    if f == "rr":
-        return solve_rr(inst.A, inst.y, inst.p, inst.lam, cfg)
-    if f == "en":
-        return solve_en(inst.A, inst.y, inst.p, inst.r, inst.lam1, inst.lam2, cfg)
-    if f == "bpdn_eps":
-        return solve_bpdn_eps(inst.A, inst.y, inst.p, inst.eps, cfg)
-    if f == "bpdn_eta":
-        return solve_bpdn_eta(inst.A, inst.y, inst.p, inst.eta, cfg)
-    if f == "bp_l1":
-        return solve_bp_l1(inst.A, inst.y, cfg)
-    if f == "rr_irls":
-        return solve_rr_irls(inst.A, inst.y, inst.p, inst.lam, cfg)
-    raise InvalidInputError(f"unknown family {f!r}")
+    """Solve a ProblemInstance: its family's solve function at its p and parameters."""
+    fam, args = _checked(inst.family, vars(inst))
+    return fam.solve(inst.A, inst.y, cfg=cfg, **args)
 
 
 def kkt_residual(inst: ProblemInstance, result: SolveResult) -> float:
     """Max-norm stationarity residual plus feasibility violation for a solution.
 
-    Zero for exact solutions; absolute, not relative.
+    Zero for exact solutions; absolute, not relative.  The family's residual
+    kernel on a stack of one: the solvers fill SolveResult.kkt_residual with
+    the same kernel, so for a solver's own result the two are equal.
     """
-    A, y = inst.A, inst.y
+    fam, args = _checked(inst.family, vars(inst))
     x = np.asarray(result.x, dtype=float).ravel()
-    if x.shape[0] != A.shape[1]:
+    if x.shape[0] != inst.A.shape[1]:
         raise InvalidInputError("solution dimension does not match the instance")
-    f = inst.family
-
-    if f == "bp":
-        nu = result.multiplier
-        if nu is None:
-            raise InvalidInputError("bp kkt residual requires the multiplier nu")
-        nu = np.asarray(nu, dtype=float).ravel()
-        grad = pnorm.pnorm_grad(x, _require_p_gt1(inst.p))
-        return float(np.abs(grad - A.T @ nu).max() + np.abs(A @ x - y).max())
-
-    if f == "rr":
-        p = _require_p_gt1(inst.p)
-        if inst.lam is None or inst.lam <= 0:
-            raise InvalidInputError("rr requires lam > 0")
-        return float(np.abs(A.T @ (A @ x - y) + inst.lam * pnorm.pnorm_grad(x, p)).max())
-
-    if f == "en":
-        p = _require_p_gt1(inst.p)
-        if None in (inst.r, inst.lam1, inst.lam2):
-            raise InvalidInputError("en requires r, lam1, lam2")
-        base = A.T @ (A @ x - y) + 2.0 * inst.lam2 * x
-        fpow = pnorm.pnorm_pow(x, p)
-        if fpow == 0.0:
-            if inst.r == 1.0:
-                q = p / (p - 1.0)
-                return max(0.0, pnorm.pnorm(A.T @ y, q) - inst.lam1)
-            return float(np.abs(base).max())
-        station = base + (inst.r * inst.lam1 / p) * fpow ** ((inst.r - p) / p) * pnorm.pnorm_grad(x, p)
-        return float(np.abs(station).max())
-
-    if f == "bpdn_eps":
-        p = _require_p_gt1(inst.p)
-        if inst.eps is None or inst.eps <= 0:
-            raise InvalidInputError("bpdn_eps requires eps > 0")
-        mu = result.multiplier
-        if mu is None:
-            raise InvalidInputError("bpdn_eps kkt residual requires the multiplier mu")
-        mu = float(mu)
-        resid = A @ x - y
-        rn = float(np.linalg.norm(resid))
-        station = pnorm.pnorm_grad(x, p) + 2.0 * mu * (A.T @ resid)
-        return float(np.abs(station).max() + max(0.0, rn - inst.eps))
-
-    if f == "bpdn_eta":
-        p = _require_p_gt1(inst.p)
-        if inst.eta is None or inst.eta <= 0:
-            raise InvalidInputError("bpdn_eta requires eta > 0")
-        mu = result.multiplier
-        if mu is None:
-            raise InvalidInputError("bpdn_eta kkt residual requires the multiplier mu")
-        mu = float(mu)
-        xn = pnorm.pnorm(x, p)
-        station = A.T @ (A @ x - y) + mu * pnorm.pnorm_grad(x, p)
-        return float(np.abs(station).max() + max(0.0, xn - inst.eta))
-
-    if f == "bp_l1":
-        nu = result.multiplier
-        if nu is None:
-            raise InvalidInputError("bp_l1 kkt residual requires the dual vector")
-        nu = np.asarray(nu, dtype=float).ravel()
-        gap = abs(float(np.abs(x).sum()) - float(y @ nu))
-        return float(
-            np.abs(A @ x - y).max()
-            + max(0.0, float(np.abs(A.T @ nu).max()) - 1.0)
-            + gap
-        )
-
-    if f == "rr_irls":
-        if inst.p is None or not (0.0 < inst.p < 1.0):
-            raise InvalidInputError("rr_irls requires 0 < p < 1")
-        if inst.lam is None or inst.lam <= 0:
-            raise InvalidInputError("rr_irls requires lam > 0")
-        w = (x * x + _IRLS_EPS_FINAL) ** (inst.p / 2.0 - 1.0)
-        station = A.T @ (A @ x - y) + inst.lam * inst.p * x * w
-        return float(np.abs(station).max())
-
-    raise InvalidInputError(f"unknown family {f!r}")
+    multiplier = None
+    if fam.multiplier:
+        if result.multiplier is None:
+            raise InvalidInputError(f"{inst.family} kkt residual requires the multiplier "
+                                    f"{fam.multiplier}")
+        multiplier = np.asarray(result.multiplier, dtype=float)[None]
+    return float(fam.kkt(inst.A[None], inst.y[None], x[None], multiplier, **args)[0])

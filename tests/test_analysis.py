@@ -130,8 +130,9 @@ class TestTrialFailures:
         return d
 
     @pytest.mark.parametrize("family", ["bp", "rr", "bpdn_eps", "bpdn_eta"])
-    @pytest.mark.parametrize("stage", ["gen_gaussian_instance", "kkt_residual"])
+    @pytest.mark.parametrize("stage", ["gen_gaussian_instance", "_certified"])
     def test_failure_isolated(self, monkeypatch, family, stage):
+        # a fault in the draw, or in the measurement that runs on every trial
         cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(1.5,))
         clean = analysis.run_genericity_experiment(cfg).trials
         bad_seed = clean[3].seed
@@ -153,6 +154,34 @@ class TestTrialFailures:
             if rec.seed == bad_seed:
                 assert rec.status == "error"
                 assert rec.error == "ZeroDivisionError: boom"
+            else:
+                assert self._fields(rec) == self._fields(ref)
+        assert stats.cells[0].failures == 1
+
+    @pytest.mark.parametrize("family,status", [("bp", "infeasible"), ("bpdn_eps", "degenerate"),
+                                               ("bpdn_eta", "degenerate")])
+    def test_result_without_multiplier_recorded(self, monkeypatch, family, status):
+        # an infeasible bp or degenerate bpdn result carries no multiplier; its
+        # trial is a failure with the solver's residual, and the run goes on
+        cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(1.5,))
+        clean = analysis.run_genericity_experiment(cfg).trials
+        bad_seed = clean[3].seed
+        bad_y = analysis.gen_gaussian_instance(ensembles.EnsembleSpec(m=4, N=9, seed=bad_seed))[1]
+        inner = solvers.solve_stack
+
+        def faulty(fam, A, y, *rest, **params):
+            out = inner(fam, A, y, *rest, **params)
+            if fam == family:
+                out = [solvers.SolveResult(np.zeros(9), None, 0.0, np.inf, 0, status)
+                       if np.array_equal(yk, bad_y) else r for yk, r in zip(y, out)]
+            return out
+
+        monkeypatch.setattr(solvers, "solve_stack", faulty)
+        stats = analysis.run_genericity_experiment(cfg)
+        for rec, ref in zip(stats.trials, clean):
+            if rec.seed == bad_seed:
+                assert (rec.status, rec.kkt_residual, rec.error) == (status, np.inf, None)
+                assert rec.multiplier_value is None
             else:
                 assert self._fields(rec) == self._fields(ref)
         assert stats.cells[0].failures == 1

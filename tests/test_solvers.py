@@ -28,6 +28,13 @@ def random_instance(rng, m, n):
     return rng.normal(size=(m, n)), rng.normal(size=m)
 
 
+def first_order(family, A, y, p, *params):
+    """The first-order method alone on one instance, from the start point of
+    the branch that p picks (params: those of the branch class)."""
+    branch = lps.solvers._branch(family, p)
+    return branch(np.array([A]), np.array([y]), p, SolverConfig(), *params).first_order(0, None, 0)
+
+
 class TestSolveBP:
     def test_symmetric_line(self):
         res = solve_bp([[1.0, 1.0]], [2.0], 4)
@@ -114,16 +121,16 @@ class TestSolveBP:
     def test_uniqueness_probe_low_p(self):
         rng = np.random.default_rng(55)
         A, y = random_instance(rng, 3, 8)
-        a = solve_bp(A, y, 1.8, SolverConfig(algorithm="dual_newton"))
-        b = solve_bp(A, y, 1.8, SolverConfig(algorithm="projected_gradient"))
+        a = solve_bp(A, y, 1.8)
+        b = first_order("bp", A, y, 1.8)
         assert a.converged and b.converged
         np.testing.assert_allclose(a.x, b.x, rtol=1e-6, atol=1e-9)
 
     def test_uniqueness_probe_high_p(self):
         rng = np.random.default_rng(56)
         A, y = random_instance(rng, 3, 8)
-        a = solve_bp(A, y, 3.0, SolverConfig(algorithm="primal_dual_newton"))
-        b = solve_bp(A, y, 3.0, SolverConfig(algorithm="projected_gradient"))
+        a = solve_bp(A, y, 3.0)
+        b = first_order("bp", A, y, 3.0)
         assert a.converged and b.converged
         np.testing.assert_allclose(a.x, b.x, rtol=1e-6, atol=1e-9)
 
@@ -174,8 +181,8 @@ class TestSolveRR:
     def test_algorithms_agree(self):
         rng = np.random.default_rng(61)
         A, y = random_instance(rng, 3, 7)
-        a = solve_rr(A, y, 1.5, 0.3, SolverConfig(algorithm="fixed_point"))
-        b = solve_rr(A, y, 1.5, 0.3, SolverConfig(algorithm="projected_gradient"))
+        a = solve_rr(A, y, 1.5, 0.3)
+        b = first_order("rr", A, y, 1.5, np.array([0.3]), None)
         np.testing.assert_allclose(a.x, b.x, rtol=1e-6, atol=1e-9)
 
     def test_rejects_bad_lambda(self):
@@ -259,13 +266,14 @@ class TestSolveEN:
             t *= 2.0
         assert res.objective == pytest.approx(fx, abs=1e-6)
 
-    @pytest.mark.parametrize("p,algo", [(1.5, "fixed_point"), (3.0, "primal_dual_newton")])
-    def test_uniqueness_probe(self, p, algo):
+    @pytest.mark.parametrize("p,newton", [(1.5, "fixed_point"), (3.0, "primal_dual_newton")])
+    def test_uniqueness_probe(self, p, newton):
+        # p picks the Newton branch: the inverse-map fixed point below 2, primal Newton above
         rng = np.random.default_rng(72)
         A, y = random_instance(rng, 3, 7)
-        a = solve_en(A, y, p, 1.0, 0.1, 0.1, SolverConfig(algorithm=algo))
-        b = solve_en(A, y, p, 1.0, 0.1, 0.1, SolverConfig(algorithm="projected_gradient"))
-        assert a.converged and b.converged
+        a = solve_en(A, y, p, 1.0, 0.1, 0.1)
+        b = first_order("en", A, y, p, 1.0, 0.1, 0.1)
+        assert a.converged and b.converged, newton
         np.testing.assert_allclose(a.x, b.x, rtol=1e-6, atol=1e-9)
 
     def test_rejects_bad_params(self):
@@ -374,13 +382,6 @@ class TestSolveBpdnEta:
 
         _, v = grid_min_2d(f, feasible, [0.0, 0.0], eta + 0.5)
         assert res.objective == pytest.approx(v, abs=1e-4)
-
-    def test_rr_algorithm_names_accepted(self):
-        rng = np.random.default_rng(92)
-        A, y = random_instance(rng, 2, 4)
-        eta = 0.5 * pnorm.pnorm(solve_bp(A, y, 1.5).x, 1.5)
-        res = solve_bpdn_eta(A, y, 1.5, eta, SolverConfig(algorithm="fixed_point"))
-        assert res.converged
 
     def test_rejects_bad_eta(self):
         with pytest.raises(InvalidInputError):
@@ -800,6 +801,102 @@ class TestKktResidual:
         res = SolveResult(np.zeros(3), None, 0.0, 0.0, 0, "converged")
         with pytest.raises(InvalidInputError):
             kkt_residual(inst, res)
+
+
+class TestFamilyTable:
+    """Every public entry validates p and the parameters through the family table."""
+
+    VALID = {
+        "bp": {"p": 1.5},
+        "bpdn_eps": {"p": 1.5, "eps": 0.5},
+        "bpdn_eta": {"p": 1.5, "eta": 0.5},
+        "rr": {"p": 1.5, "lam": 0.1},
+        "en": {"p": 1.5, "r": 1.0, "lam1": 0.1, "lam2": 0.1},
+        "bp_l1": {},
+        "rr_irls": {"p": 0.5, "lam": 0.1},
+    }
+    OUT_OF_RANGE = {"p": 1.0, "lam": 0.0, "lam1": -0.1, "lam2": 0.0, "r": 0.5, "eps": 0.0,
+                    "eta": -1.0}
+    LABEL = {"lam": "lambda", "lam1": "lambda1", "lam2": "lambda2"}  # as the CLI spells them
+
+    @pytest.mark.parametrize("family", list(VALID))
+    def test_missing_or_out_of_range_raises_invalid_input(self, family):
+        A, y = random_instance(np.random.default_rng(5), 3, 7)
+        solve = getattr(lps.solvers, "solve_" + family)
+        valid = self.VALID[family]
+        res = solve(A, y, **valid)
+        assert res.converged
+        assert kkt_residual(ProblemInstance(A, y, family, **valid), res) == res.kkt_residual
+        for name in valid:
+            for bad in (None, "many", self.OUT_OF_RANGE[name]):
+                params = dict(valid, **{name: bad})
+                inst = ProblemInstance(A, y, family, **params)
+                message = rf"{family} requires {self.LABEL.get(name, name)}\b"
+                for call in (lambda: solve(A, y, **params), lambda: solve_instance(inst),
+                             lambda: kkt_residual(inst, res)):
+                    with pytest.raises(InvalidInputError, match=message):
+                        call()
+        with pytest.raises(InvalidInputError):  # no p, or a family solve_stack does not take
+            solve_stack(family, A[None], y[None], **dict(valid, p=None))
+
+
+class TestOneKktDefinition:
+    """A solver's SolveResult.kkt_residual is kkt_residual(inst, result), bit for bit."""
+
+    @staticmethod
+    def _assert_same(family, A, y, p, params, results):
+        converged = 0
+        for k, res in enumerate(results):
+            if isinstance(res, Exception) or not res.converged:
+                continue
+            converged += 1
+            own = {name: v[k] if isinstance(v, np.ndarray) else v for name, v in params.items()}
+            inst = ProblemInstance(A[k], y[k], family, p=p, **own)
+            assert kkt_residual(inst, res) == res.kkt_residual, (family, p, k)
+        assert converged
+
+    @pytest.mark.parametrize("family", ["bp", "bpdn_eps", "bpdn_eta", "rr", "en"])
+    def test_p_gt_1_families(self, family):
+        rng = np.random.default_rng(7)
+        A, y = rng.normal(size=(64, 8, 20)), rng.normal(size=(64, 8))
+        for p in (1.2, 1.5, 2.0, 3.0, 4.5):
+            params = {"rr": {"lam": 0.1}, "en": {"r": 1.0, "lam1": 0.1, "lam2": 0.1}}.get(family, {})
+            if family == "bpdn_eps":
+                params = {"eps": 0.1 * np.linalg.norm(y, axis=1)}
+            elif family == "bpdn_eta":
+                params = {"eta": np.array([0.5 * pnorm.pnorm(r.x, p)
+                                           for r in solve_stack("bp", A, y, p)])}
+            self._assert_same(family, A, y, p, params, solve_stack(family, A, y, p, **params))
+
+    def test_edge_rows(self):
+        # en at x = 0 with r = 1, where ||A^T y||_q <= lam1 makes 0 optimal
+        rng = np.random.default_rng(0)
+        A, y = rng.normal(size=(8, 20)), 0.01 * rng.normal(size=8)
+        res = solve_en(A, y, 1.5, 1.0, 10.0, 0.1)
+        assert res.converged and not res.x.any()
+        assert res.kkt_residual == 0.0
+        self._assert_same("en", A[None], y[None], 1.5, {"r": 1.0, "lam1": 10.0, "lam2": 0.1}, [res])
+        # bpdn_eps with eps >= ||y||_2 (x = 0), bpdn_eta reduced to bp (multiplier 0)
+        A, y = random_instance(rng, 8, 20)
+        res = solve_bpdn_eps(A, y, 1.5, 2.0 * np.linalg.norm(y))
+        self._assert_same("bpdn_eps", A[None], y[None], 1.5, {"eps": 2.0 * np.linalg.norm(y)}, [res])
+        eta = pnorm.pnorm(solve_bp(A, y, 3.0).x, 3.0)
+        res = solve_bpdn_eta(A, y, 3.0, eta)
+        assert res.reduced_to_bp
+        self._assert_same("bpdn_eta", A[None], y[None], 3.0, {"eta": eta}, [res])
+
+    @pytest.mark.parametrize("family,p_grid", [("bp_l1", (None,)), ("rr_irls", (0.3, 0.5, 0.8))])
+    def test_comparison_solvers(self, family, p_grid):
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(12, 8, 20))
+        x0 = np.zeros((12, 20))
+        x0[:, :2] = rng.choice([-1.0, 1.0], size=(12, 2))
+        y = np.einsum("kij,kj->ki", A, x0)
+        for p in p_grid:
+            params = {} if family == "bp_l1" else {"lam": 0.1}
+            results = [solve_instance(ProblemInstance(A[k], y[k], family, p=p, **params))
+                       for k in range(len(A))]
+            self._assert_same(family, A, y, p, params, results)
 
 
 class TestSolveInstance:
