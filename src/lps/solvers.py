@@ -242,8 +242,10 @@ def _solve(M, rhs, shift=True):
     failed = np.zeros(len(M), dtype=bool)
     n = M.shape[-1]
     if shift and n >= _CHOLESKY_MIN:
-        return np.array([_solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
-                         for k in range(len(M))]), failed
+        d = np.zeros_like(rhs)
+        for k in range(len(M)):
+            d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
+        return d, failed
     try:
         return np.linalg.solve(M, rhs[..., None])[..., 0], failed
     except np.linalg.LinAlgError:
@@ -666,6 +668,7 @@ class _Smooth(_Stack):
 
 class _Rr(_Smooth):
     stacked = ("A", "y", "lam", "scale", "x0")
+    lean = False
 
     def __init__(self, A, y, p, cfg, lam, warm):
         super().__init__(A, y, p, cfg)
@@ -685,6 +688,11 @@ class _Rr(_Smooth):
 
     def kkt(self, x, rows):
         return _kkt_rr(self.A[rows], self.y[rows], x, None, self.p, self.lam[rows])
+
+    def solution(self, rows, x, iters, ok):
+        if self.lean:  # the bpdn path's inner solves read x and the iterations alone
+            return [(x[j], iters) for j in range(len(x))]
+        return super().solution(rows, x, iters, ok)
 
 
 class _RrResidual(_Rr):
@@ -753,7 +761,7 @@ def _rr_gradient(A, y, x, p, lam):
     return _tmv(A, _mv(A, x) - y) + lam * pnorm._g(x, p)
 
 
-def _rr_stack(A, y, p, cfg, lam, warm=None):
+def _rr_stack(A, y, p, cfg, lam):
     """rr on a stack of finite instances, row k at lam (a scalar) or lam[k]."""
     B, m, N = A.shape
     out = [None] * B
@@ -764,7 +772,7 @@ def _rr_stack(A, y, p, cfg, lam, warm=None):
     rows = np.flatnonzero(~zero)
     if rows.size:
         sel = _all_or(rows, B)
-        br = _branch("rr", p)(A[sel], y[sel], p, cfg, lam[sel], None if warm is None else warm[sel])
+        br = _branch("rr", p)(A[sel], y[sel], p, cfg, lam[sel], None)
         sub = [None] * rows.size
         _run(br, sub, np.arange(rows.size))
         for k, r in zip(rows, sub):
@@ -785,10 +793,18 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
-def _rr_core(A, y, p, lam, cfg, warm) -> list:
-    """rr on a stack of validated instances, row k at lam[k] and from warm[k]
-    (or the ridge start when warm is None): the inner solves of the bpdn path."""
-    return _rr_stack(A, y, p, cfg, lam, warm)
+def _rr_core(A, y, p, lam, cfg, warm):
+    """rr on a stack of validated instances with A^T y != 0, row k at lam[k]
+    and from warm[k]: the inner solves of the bpdn path.  Returns (x,
+    iterations) as arrays over the rows; the objective and KKT residual of
+    each row, which the path never reads, are not formed."""
+    br = _branch("rr", p)(A, y, p, cfg, lam, warm)
+    br.lean = True
+    out = [None] * len(A)
+    with np.errstate(all="ignore"):  # a budget too small can overflow x; the path checks x
+        _newton(br, out)
+    x, iterations = zip(*out)
+    return np.array(x), np.array(iterations)
 
 
 def _first_order(one, x0, iters_used=0):
@@ -1058,7 +1074,7 @@ def _bpdn_eps_stack(A, y, p, cfg, eps):
     rows = rows[~slack]
     A, y, eps = A[rows], y[rows], eps[rows]
     x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, cfg.bisection_tol * ny[rows],
-                                         1e-8 * ny[rows])
+                                         1e-8 * ny[rows], _least_norm(A, y))
     mu = 1.0 / (2.0 * lam)
     kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
     obj = pnorm._pow_sum(x, p) ** (1.0 / p)
@@ -1067,6 +1083,11 @@ def _bpdn_eps_stack(A, y, p, cfg, eps):
                               CONVERGED) if found[j] else
                   SolveResult(np.zeros(N), None, 0.0, np.inf, 0, DEGENERATE))
     return out
+
+
+def _least_norm(A, y):
+    """x_ls = A^T (A A^T)^-1 y, the least-norm solution of A x = y, of every row of a stack."""
+    return _tmv(A, _solve(np.matmul(A, A.transpose(0, 2, 1)), y)[0])
 
 
 def _bp_of(A, y, p, cfg, rows):
@@ -1084,10 +1105,11 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
     # against the least-norm solution x_ls), so below that bound the
     # constraint is active and bp is not needed; the factor is a rounding
     # allowance
-    Ar = A[rows]
-    x_ls = _tmv(Ar, _solve(np.matmul(Ar, Ar.transpose(0, 2, 1)), y[rows])[0])
+    x_ls = np.zeros((B, N))
+    x_ls[rows] = _least_norm(A[rows], y[rows])
     q = p / (p - 1.0)
-    above = eta[rows] * pnorm._pow_sum(x_ls, q) ** (1.0 / q) >= (1.0 - 1e-10) * _dot(x_ls, x_ls)
+    above = (eta[rows] * pnorm._pow_sum(x_ls[rows], q) ** (1.0 / q)
+             >= (1.0 - 1e-10) * _dot(x_ls[rows], x_ls[rows]))
     bp = _bp_of(A, y, p, cfg, rows[above])
     for k, b in bp.items():
         if isinstance(b, Exception):
@@ -1098,7 +1120,7 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
                                  float(kkt[0]), b.iterations, b.status, reduced_to_bp=True)
     rows = np.array([k for k in rows if out[k] is None], dtype=int)
     x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, False, eta[rows],
-                                        cfg.bisection_tol * eta[rows], 1e-8 * eta[rows])
+                                        cfg.bisection_tol * eta[rows], 1e-8 * eta[rows], x_ls[rows])
     bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
     r = _mv(A[rows], x) - y[rows]
     kkt = _kkt_bpdn_eta(A[rows], y[rows], x, mu, p, eta[rows])
@@ -1127,7 +1149,10 @@ def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult
     grad_f(x) + 2 mu A^T (A x - y) = 0; the solution lies on the penalized
     path x(lam) = rr-solution(lam) at lam = 1/(2 mu), located by a
     safeguarded Newton root-find (_rr_path_root) on ||A x(lam) - y||_2 = eps.
-    A batch of one through the stacked root-find (see solve_stack).
+    It starts from the least-norm solution x_ls of A x = y scaled by
+    1 - eps / ||y||_2, which meets the constraint, and from the lam that
+    best fits the rr stationarity there.  A batch of one through the
+    stacked root-find (see solve_stack).
     """
     return _raised(solve_stack("bpdn_eps", *_one(A, y), p, cfg, eps=eps)[0])
 
@@ -1140,9 +1165,9 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     with multiplier 0 and the reduction flagged.  Otherwise the constraint
     is active, the multiplier mu > 0 is unique, and the solution lies on
     the same penalized path at lam = mu, located by the same root-find on
-    ||x(mu)||_p = eta.  bp is solved only when eta is not below a dual lower
-    bound on its optimum.  A batch of one through the stacked root-find
-    (see solve_stack).
+    ||x(mu)||_p = eta, started from x_ls scaled to ||x||_p = eta.  bp is
+    solved only when eta is not below a dual lower bound on its optimum.  A
+    batch of one through the stacked root-find (see solve_stack).
     """
     return _raised(solve_stack("bpdn_eta", *_one(A, y), p, cfg, eta=eta)[0])
 
@@ -1165,56 +1190,74 @@ def _path_dx(A, p, lam, x):
     return e * (_tmv(A, _solve(J, _mv(A, e * g))[0]) - g)
 
 
-def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
+def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor, x_ls):
     """Find, on each row k of a stack, lam on its rr path x(lam) where the path value meets target[k].
 
     The path value is ||A x - y||_2 when `residual` (it grows with lam),
-    else ||x||_p (it falls).  Newton steps in log lam take their slope
-    from _path_dx.  The bracket [lo, hi] seen so far guards them: a step
-    that leaves it, or that follows a Newton step which failed to halve the
-    mismatch, is replaced by a geometric one (x8, /8 or sqrt(lo hi)).  The
-    start mean(A * A) and the floor 1e-12 times it scale as c^2 when (A, y)
-    scales by c, so the iteration is scale-free.  A row aims for
-    |value - target| <= tol; when its bracket collapses to machine width
+    else ||x||_p (it falls).  Each row starts from x_bar = s x_ls, the
+    least-norm solution x_ls of A x = y scaled to meet the target (s = 1 -
+    eps / ||y||, so ||A x_bar - y|| = eps, or s = eta / ||x_ls||_p, so
+    ||x_bar||_p = eta), at the lam that best fits the rr stationarity there
+    along x_bar: lam0 = <A^T (y - A x_bar), x_bar> / <g(x_bar), x_bar>
+    = ||y||^2 s (1 - s) / (p ||x_bar||_p^p).  Newton steps in log lam take
+    their slope from _path_dx, and each starts its rr solve on the tangent,
+    x + dx/dlam (lam_new - lam).  The bracket [lo, hi] seen so far guards
+    them: a step that leaves it, or that follows a Newton step which failed
+    to halve the mismatch, is replaced by a geometric one (x8, /8 or
+    sqrt(lo hi)) that starts from x.  lam0 and the floor 1e-12 mean(A * A)
+    scale as c^2 when (A, y) scales by c, so the iteration is scale-free; a
+    non-finite lam0 (s^p underflows) gives way to mean(A * A).  A row aims
+    for |value - target| <= tol; when its bracket collapses to machine width
     first (the tolerance sits below what the inner solves can certify), the
     closest point is still accepted if it matches within tol_floor.
 
     The rows run in lockstep: each round solves the active rows' rr at their
     own lam as one stack (_rr_core) and takes one stacked _path_dx, and a
     row leaves when it matches, its bracket collapses, it reaches the floor,
-    or it has used 200 inner solves.  Each row's numbers depend on that row
-    alone.  Returns (x, lam, inner_iterations, found) over the rows; found is
-    False where even the floor lies past the target or no point met
-    tol_floor.
+    it has used 200 inner solves, or its inner solve returns a non-finite x
+    (a budget too small for the inner solves).  Each row's numbers depend
+    on that row alone.  Returns (x, lam, inner_iterations, found) over the
+    rows; found is False where even the floor lies past the target, no point
+    met tol_floor, or an inner x was not finite.
     """
     # inner solves are polished well below the match tolerance so the path
     # value and its slope carry negligible noise
     inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))
     B, m, N = A.shape
-    lam = (A * A).reshape(B, m * N).mean(axis=1)
+    mean_sq = (A * A).reshape(B, m * N).mean(axis=1)
+    floor = 1e-12 * mean_sq
+    ny2 = _dot(y, y)
+    with np.errstate(all="ignore"):
+        if residual:
+            frac = 1.0 - target / np.sqrt(ny2)
+        else:
+            frac = target / pnorm._pow_sum(x_ls, p) ** (1.0 / p)
+        x_bar = frac[:, None] * x_ls
+        lam = ny2 * frac * (1.0 - frac) / (p * pnorm._pow_sum(x_bar, p))
+    lam = np.where(np.isfinite(lam), np.maximum(lam, floor), mean_sq)
     x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
     iters, found = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
     s = {"row": np.arange(B), "A": A, "y": y, "target": target, "tol": tol, "tol_floor": tol_floor,
-         "lam": lam, "floor": 1e-12 * lam, "lo": np.zeros(B), "hi": np.full(B, np.inf),
+         "lam": lam, "floor": floor, "lo": np.zeros(B), "hi": np.full(B, np.inf), "warm": x_bar,
          "total": np.zeros(B, dtype=int), "best": np.full(B, np.inf), "best_x": np.zeros((B, N)),
          "best_lam": np.zeros(B), "last_gap": np.full(B, np.inf), "newton": np.zeros(B, dtype=bool)}
-    warm = None
     for solves in range(1, 201):  # budget of inner rr solves
         if not B:
             break
-        res = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, warm)
-        x = np.array([t.x for t in res])
-        s["total"] = s["total"] + [t.iterations for t in res]
-        r = _mv(s["A"], x) - s["y"]
-        value = np.sqrt(_dot(r, r)) if residual else pnorm._pow_sum(x, p) ** (1.0 / p)
+        x, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"])
+        s["total"] = s["total"] + inner
+        with np.errstate(all="ignore"):
+            r = _mv(s["A"], x) - s["y"]
+            value = np.sqrt(_dot(r, r)) if residual else pnorm._pow_sum(x, p) ** (1.0 / p)
+        lost = ~(np.isfinite(x).all(axis=1) & np.isfinite(value))
         gap = value - s["target"]
-        match = np.abs(gap) <= s["tol"]
-        better = np.abs(gap) < s["best"]
+        match = ~lost & (np.abs(gap) <= s["tol"])
+        better = ~lost & (np.abs(gap) < s["best"])
         s["best"] = np.where(better, np.abs(gap), s["best"])
         s["best_x"] = np.where(better[:, None], x, s["best_x"])
         s["best_lam"] = np.where(better, s["lam"], s["best_lam"])
         past = (gap > 0.0) == residual
-        dead = ~match & past & (s["lam"] <= s["floor"])
+        dead = lost | (~match & past & (s["lam"] <= s["floor"]))
         s["hi"] = np.where(past, s["lam"], s["hi"])
         s["lo"] = np.where(past, s["lo"], s["lam"])
         shut = ~match & ~dead & ((s["lo"] >= (1.0 - 1e-13) * s["hi"]) | (solves == 200))
@@ -1230,10 +1273,10 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
             s = {key: v[keep] for key, v in s.items()}
         if not len(s["row"]):
             break
-        warm = x = s["x"]
+        x = s["x"]
         lam, lo, hi = s["lam"], s["lo"], s["hi"]
-        dx = _path_dx(s["A"], p, lam, x)
         with np.errstate(all="ignore"):
+            dx = _path_dx(s["A"], p, lam, x)
             if residual:
                 # Newton on log ||r||, which is near linear in log lam where
                 # the residual grows like lam; ||x||_p is stepped on as it is
@@ -1249,10 +1292,12 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor):
                                  np.where(down, np.maximum(lam / 8.0, s["floor"]), np.sqrt(lo * hi)))
             inside = np.where(up, (lo < step) & (step <= geometric),
                               np.where(down, geometric <= step, lo < step) & (step < hi))
-        gap = np.abs(s["gap"])
-        s["newton"] = inside & ~(s["newton"] & (gap > 0.5 * s["last_gap"]))
-        s["lam"] = np.where(s["newton"], step, geometric)
-        s["last_gap"] = gap
+            gap = np.abs(s["gap"])
+            newton = s["newton"] = inside & ~(s["newton"] & (gap > 0.5 * s["last_gap"]))
+            s["lam"] = np.where(newton, step, geometric)
+            s["last_gap"] = gap
+            s["warm"] = x.copy()
+            s["warm"][newton] += dx[newton] * (s["lam"][newton] - lam[newton])[:, None]
     return x_out, lam_out, iters, found
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -420,7 +422,8 @@ class TestPathRootFind:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_newton_path_rr_solve_count(self, monkeypatch, family, p):
         # the criterion-7 shape with the experiment harness's targets; each
-        # call of _rr_core solves a stack, so its rows are counted
+        # call of _rr_core solves a stack, so its rows are counted, and the
+        # inner Newton iterations of a trial are its result's iterations
         calls = []
         rr_core = lps.solvers._rr_core
 
@@ -430,6 +433,7 @@ class TestPathRootFind:
 
         monkeypatch.setattr(lps.solvers, "_rr_core", counted)
         trials = 24
+        iterations = 0
         for trial in range(trials):
             A, y = gen_gaussian_instance(EnsembleSpec(m=8, N=20, seed=1000 + trial))
             if family == "bpdn_eps":
@@ -438,8 +442,10 @@ class TestPathRootFind:
                 target = 0.5 * pnorm.pnorm(solve_bp(A, y, p).x, p)
             res = getattr(lps.solvers, "solve_" + family)(A, y, p, target)
             assert res.converged and res.multiplier > 0
+            iterations += res.iterations
         assert calls, "the path root-find must call lps.solvers._rr_core"
-        assert sum(calls) / trials <= 8.0
+        assert sum(calls) / trials <= 4.25
+        assert iterations / trials <= 11.5
         # the same bound through the experiment harness, which solves its trials as stacks
         calls.clear()
         cfg = analysis.ExperimentConfig(family=family, m=8, N=20, trials=trials,
@@ -447,7 +453,76 @@ class TestPathRootFind:
         stats = analysis.run_genericity_experiment(cfg)
         assert stats.cells[0].failures == 0
         assert max(calls) > 1
-        assert sum(calls) / trials <= 8.0
+        assert sum(calls) / trials <= 4.25
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_extreme_eta_target(self, monkeypatch, c):
+        # at p = 8 and eta = 0.01 ||x_bp||_p the root sits near lam = 1e20 c^2,
+        # far out on the path: the data-driven start reaches it in a few rows
+        calls = []
+        rr_core = lps.solvers._rr_core
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return rr_core(*args)
+
+        rng = np.random.default_rng(8)
+        A, y = rng.normal(size=(4, 32, 80)), rng.normal(size=(4, 32))
+        eta = np.array([0.01 * pnorm.pnorm(r.x, 8.0) for r in solve_stack("bp", A, y, 8.0)])
+        monkeypatch.setattr(lps.solvers, "_rr_core", counted)
+        for k in range(len(A)):
+            res = solve_bpdn_eta(c * A[k], c * y[k], 8.0, eta[k])
+            assert res.converged and res.multiplier > 1e15 * c * c
+            assert pnorm.pnorm(res.x, 8.0) == pytest.approx(eta[k], rel=1e-8)
+        assert sum(calls) / len(A) <= 8.0
+
+    @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
+    def test_target_sweep(self, family):
+        # targets from near zero to near the free end of the path, at both
+        # ends of the p range and with (A, y) scaled by 1e+-6; RuntimeWarnings
+        # are errors here, and a stack returns such an error as its entry
+        for m, N in ((8, 20), (3, 9)):
+            rng = np.random.default_rng(m * 1000 + N)
+            A, y = rng.normal(size=(6, m, N)), rng.normal(size=(6, m))
+            for p in (1.05, 1.5, 3.0, 8.0):
+                if family == "bpdn_eps":
+                    full = np.linalg.norm(y, axis=1)
+                else:
+                    full = np.array([pnorm.pnorm(r.x, p) for r in solve_stack("bp", A, y, p)])
+                for c in (1e-6, 1.0, 1e6):
+                    for frac in (0.01, 0.5, 0.9):
+                        target = frac * full * (c if family == "bpdn_eps" else 1.0)
+                        rows = solve_stack(family, c * A, c * y, p, **{family[5:]: target})
+                        for k, res in enumerate(rows):
+                            case = (m, p, c, frac, k, res)
+                            assert isinstance(res, lps.solvers.SolveResult), case
+                            assert res.converged and res.multiplier > 0, case
+                            if family == "bpdn_eps":
+                                value = np.linalg.norm(c * A[k] @ res.x - c * y[k])
+                            else:
+                                value = pnorm.pnorm(res.x, p)
+                            assert value == pytest.approx(target[k], rel=1e-6), case
+
+    @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_small_budget(self, family, max_iter):
+        # the inner rr solves inherit max_iter; one that ends on a non-finite x
+        # takes its row off the path as degenerate, with no RuntimeWarning
+        rng = np.random.default_rng(3)
+        A, y = rng.normal(size=(6, 8, 20)), rng.normal(size=(6, 8))
+        if family == "bpdn_eps":
+            targets = 0.1 * np.linalg.norm(y, axis=1)
+        else:
+            targets = np.array([0.5 * pnorm.pnorm(r.x, 1.5) for r in solve_stack("bp", A, y, 1.5)])
+        cfg = SolverConfig(max_iter=max_iter)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = TestBpdnStack()._check(family, A, y, 1.5, targets, cfg)
+        assert not caught, [str(w.message) for w in caught]
+        for res in rows:
+            assert res.status in ("converged", "degenerate")
+            if res.status == "degenerate":
+                assert res.multiplier is None and res.kkt_residual == np.inf
 
 
 class TestSolveStack:
@@ -636,6 +711,17 @@ class TestBpdnStack:
         rows = self._check(family, A, y, 3.0, targets)
         assert rows[0].multiplier > 0 and rows[1].multiplier == 0.0
         self._check(family, A, y, 3.0, full)
+
+    def test_no_path_rows_at_m_64(self):
+        # m >= 64: the Gram systems of the least-norm start are solved slice
+        # by slice, also when no row reaches the path
+        rng = np.random.default_rng(29)
+        A, y = rng.normal(size=(2, 64, 70)), rng.normal(size=(2, 64))
+        rows = solve_stack("bpdn_eps", A, y, 3.0, eps=2.0 * np.linalg.norm(y, axis=1))
+        assert all(r.converged and not r.x.any() and r.multiplier == 0.0 for r in rows)
+        A[:, 3] = A[:, 0]
+        rows = solve_stack("bpdn_eta", A, y, 3.0, eta=1.0)
+        assert all(isinstance(r, RankDeficientError) for r in rows)
 
     def test_degenerate_row(self):
         # bp falls back and stops short on row 13 at p = 1.05 (see
