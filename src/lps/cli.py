@@ -72,12 +72,8 @@ def cmd_solve(args) -> int:
         inst = _build_instance(args, A, y)
         cfg = SolverConfig()
         if args.tol is not None:
-            if args.tol <= 0:
-                raise InvalidInputError("--tol must be positive")
             cfg.kkt_tol = args.tol
         if args.max_iter is not None:
-            if args.max_iter < 1:
-                raise InvalidInputError("--max-iter must be >= 1")
             cfg.max_iter = args.max_iter
         res = solve_instance(inst, cfg)
     except (LpsError, OSError) as exc:

@@ -18,11 +18,13 @@ plus two comparison solvers outside the p > 1 regime:
 Algorithm selection follows the exponent range: for 1 < p < 2 the inverse
 map h and its globally defined derivative h' drive dual/fixed-point Newton
 iterations; for p >= 2 the derivative g' is globally defined and plain
-(primal) Newton systems are used.  A projected-gradient / first-order
-fallback covers line-search breakdowns.
+(primal) Newton systems are used.  One first-order method (_first_order,
+Barzilai-Borwein descent along the gradient on the feasible set) is the
+fallback of every branch when its line search breaks down.
 
 One table, FAMILIES, holds each family's facts: the ProblemInstance fields
-it takes, the range of p, its solve function and its KKT residual kernel.
+it takes, the range of p, its solve function, its KKT residual kernel and,
+for bp, rr and en, its pair of Newton branches.
 Everything that dispatches on the family tag reads it: validation
 (_checked), solve_instance, solve_stack and kkt_residual.  Each residual is
 written once, row by row over a stack; the solvers fill
@@ -94,23 +96,16 @@ _TIKHONOV = 1e-12
 
 @dataclass
 class SolverConfig:
-    """Tolerances and iteration budgets shared by all solvers."""
+    """The stopping tolerance and the Newton iteration budget shared by all solvers."""
 
     kkt_tol: float = 1e-10
     max_iter: int = 500
-    max_iter_first_order: int = 50000
-    # bpdn path-match tolerance, relative to ||y||_2 (eps form) or eta
-    bisection_tol: float = 1e-10
-    ls_shrink: float = 0.5
-    ls_decrease: float = 1e-4
 
     def validate(self):
-        if self.kkt_tol <= 0 or self.bisection_tol <= 0:
-            raise InvalidInputError("tolerances must be positive")
-        if self.max_iter < 1 or self.max_iter_first_order < 1:
-            raise InvalidInputError("iteration limits must be >= 1")
-        if not (0 < self.ls_shrink < 1) or self.ls_decrease <= 0:
-            raise InvalidInputError("invalid line-search parameters")
+        if not self.kkt_tol > 0:  # NaN too: no residual would ever pass it
+            raise InvalidInputError(f"kkt_tol must be positive, got {self.kkt_tol!r}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -187,9 +182,7 @@ def _solve_shifted(M, rhs, scale):
             c = scipy.linalg.cho_factor(M + shift * np.eye(n), check_finite=False)
             return scipy.linalg.cho_solve(c, rhs, check_finite=False)
         except scipy.linalg.LinAlgError:
-            shift = max(_TIKHONOV * max(scale, 1.0), shift * 100.0, 1e-300)
-            if shift == 1e-300:
-                shift = _TIKHONOV
+            shift = max(_TIKHONOV * max(scale, 1.0), shift * 100.0)
     return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
@@ -200,6 +193,10 @@ def _solve_shifted(M, rhs, scale):
 _STALL_PATIENCE = 8  # iterations in a row without a _STALL_GAIN gain on the best residual
 _STALL_GAIN = 1e-3
 _LS_FLOOR = 1e-14    # smallest Armijo step tried
+_LS_SHRINK = 0.5     # Armijo backtracking factor
+_LS_DECREASE = 1e-4  # Armijo sufficient-decrease fraction
+_FIRST_ORDER_MAX_ITER = 50000  # step budget of _first_order
+_PATH_MATCH_TOL = 1e-10  # bpdn path match, relative to ||y||_2 (eps form) or eta
 _CHOLESKY_MIN = 64   # order from which _solve factors PSD systems one by one
 
 
@@ -284,16 +281,22 @@ def _full_rank(G):
 class _Stack:
     """Instances of one family that share p and its parameters, stacked on axis 0.
 
-    Family classes define objective, gradient and solution (the SolveResults
-    of some rows); their branch subclasses add the Newton step that _newton
-    drives:
+    Family classes (_Bp, _Rr, _En) define what the first-order method
+    (_first_order) reads:
+
+      objective(x)               -> the objective of every row at x
+      gradient_measure(st)       -> (max-norm of st["G"], scale) of the stopping test, with
+                                    st["G"] the gradient on the feasible set at st["x"]
+      results(st, rows, it, ok)  -> SolveResults of `rows`
+
+    Their branch subclasses add the Newton step that _newton drives:
 
       start()                    -> state: dict of per-instance arrays, with "merit"
-      measure(st)                -> (residual, scale) of the stopping and stall tests
+      measure(st)                -> (residual, scale) of the stopping and stall tests:
+                                    gradient_measure, or the branch's own quantity
       direction(st)              -> (d, slope of the merit along d, failed rows or None)
       trial(st, rows, step)      -> the state of `rows` moved by `step`
-      results(st, rows, it, ok)  -> SolveResults of `rows`
-      fallback(st, j, it)        -> SolveResult of row j from the first-order method
+      fallback(st, j, it)        -> SolveResult of row j from _first_order
 
     Every method works row by row: a row's numbers never depend on the
     other rows, so a batch gives each instance the bits of its batch of one.
@@ -314,6 +317,9 @@ class _Stack:
         for name in self.stacked:
             setattr(new, name, getattr(self, name)[rows])
         return new
+
+    def fallback(self, st, j, it):
+        return _first_order(self.take([j]), st["x"][j], it)
 
 
 def _newton(br, out):
@@ -361,7 +367,6 @@ def _line_search(br, st, d, slope, failed):
 
     All rows still searching share one t.  Returns the mask of rows that moved.
     """
-    cfg = br.cfg
     moved = np.zeros(br.size, dtype=bool)
     rows = None if failed is None else np.flatnonzero(~failed)  # None: every row
     t = 1.0
@@ -369,7 +374,7 @@ def _line_search(br, st, d, slope, failed):
         at = slice(None) if rows is None else rows
         new = br.trial(st, at, t * d[at])
         merit = st["merit"][at]
-        bound = merit + cfg.ls_decrease * t * slope[at]
+        bound = merit + _LS_DECREASE * t * slope[at]
         if br.slack:
             bound = bound + br.slack * np.abs(merit)
         ok = new["merit"] <= bound
@@ -383,8 +388,53 @@ def _line_search(br, st, d, slope, failed):
             st[key][rows[ok]] = v[ok]
         moved[rows[ok]] = True
         rows = rows[~ok]
-        t *= cfg.ls_shrink
+        t *= _LS_SHRINK
     return moved
+
+
+def _first_order(one, x0, iters_used):
+    """Barzilai-Borwein descent along the gradient on the feasible set, with a
+    nonmonotone Armijo safeguard, on a stack of one instance from x0 (which
+    must be feasible).
+
+    `one` supplies its objective, gradient_measure and results (see _Stack);
+    the stopping test is that of the Newton branches, max |G| <= kkt_tol
+    scale.  The sufficient-decrease test compares against the worst of the
+    last ten accepted objective values (Grippo, Lampariello & Lucidi, SIAM
+    J. Numer. Anal. 1986), which lets the BB step keep its fast asymptotic
+    behavior.  A failed line search or _FIRST_ORDER_MAX_ITER steps end it
+    short of the tolerance.
+    """
+    st = {"x": np.array(x0, dtype=float)[None]}
+    res, scale = one.gradient_measure(st)
+    recent = [float(one.objective(st["x"])[0])]
+    t = 1.0 / max(float(res[0]), 1.0)
+    x_prev = g_prev = None
+    for it in range(_FIRST_ORDER_MAX_ITER):
+        if res[0] <= one.cfg.kkt_tol * scale[0]:
+            return one.results(st, [0], iters_used + it, [True])[0]
+        x, g = st["x"][0], st["G"][0]
+        if x_prev is not None:
+            sx = x - x_prev
+            sg = g - g_prev
+            denom = float(sx @ sg)
+            if denom > 0:
+                t = min(max(float(sx @ sx) / denom, 1e-12), 1e8)
+        tt = t
+        gnorm2 = float(g @ g)
+        f_ref = max(recent)
+        while tt >= 1e-18:
+            new = {"x": (x - tt * g)[None]}
+            f_new = float(one.objective(new["x"])[0])
+            if f_new <= f_ref - _LS_DECREASE * tt * gnorm2 + 1e-14 * abs(f_ref):
+                break
+            tt *= _LS_SHRINK
+        else:
+            return one.results(st, [0], iters_used + it, [False])[0]
+        x_prev, g_prev, st = x, g, new
+        res, scale = one.gradient_measure(st)
+        recent = (recent + [f_new])[-10:]
+    return one.results(st, [0], iters_used + _FIRST_ORDER_MAX_ITER, [False])[0]
 
 
 def _all_or(rows, n):
@@ -411,9 +461,9 @@ def _run(br, out, rows):
 
 
 def _branch(family, p):
-    """The branch class of `family` at p: the first of _BRANCHES[family]
+    """The branch class of `family` at p: the first of its FAMILIES branches
     needs p <= 2 (h' global), the second p >= 2 (g' global)."""
-    low, high = _BRANCHES[family]
+    low, high = FAMILIES[family].branches
     return low if p < 2.0 else high
 
 
@@ -440,12 +490,24 @@ class _Bp(_Stack):
     def results(self, st, rows, it, ok):
         return self.solution(rows, st["x"][rows], st["nu"][rows], it, ok)
 
-    def first_order(self, j, x0, iters):
-        one = self.take([j])
-        cho = _gram_cho(one.A[0])
-        if x0 is None:
-            x0 = one.A[0].T @ scipy.linalg.cho_solve(cho, one.y[0], check_finite=False)
-        return _bp_projected_gradient(one, cho, x0, iters)
+    def objective(self, x):
+        """||x||_p^p, which has the minimizers of ||x||_p."""
+        return pnorm._pow_sum(x, self.p)
+
+    def gradient_measure(self, st):
+        """The gradient projected onto null(A), g(x) - A^T nu with nu the
+        least-squares multiplier, against the scale max |g(x)|."""
+        grad = st["grad"] = pnorm._g(st["x"], self.p)
+        st["nu"] = _solve(self.G, _mv(self.A, grad))[0]
+        st["G"] = grad - _tmv(self.A, st["nu"])
+        return _amax(st["G"]), _amax(grad)
+
+    measure = gradient_measure
+
+    def first_order(self, j, x, it):
+        """Row j's SolveResult from _first_order, started at x projected onto A x = y."""
+        x = _project(self.A[j], _gram_cho(self.A[j]), self.y[j], x)
+        return _first_order(self.take([j]), x, it)
 
 
 class _BpDual(_Bp):
@@ -495,7 +557,7 @@ class _BpDual(_Bp):
         return self._at(st["nu"][rows] + step, rows)
 
     def fallback(self, st, j, it):
-        return self.first_order(j, None, it)
+        return self.first_order(j, np.zeros(self.A.shape[2]), it)  # from the least-norm point
 
 
 class _BpPrimal(_Bp):
@@ -514,12 +576,7 @@ class _BpPrimal(_Bp):
 
     def start(self):
         x = self.least_norm()
-        return {"x": x, "merit": pnorm._pow_sum(x, self.p)}
-
-    def measure(self, st):
-        grad = st["grad"] = pnorm._g(st["x"], self.p)
-        st["nu"] = _solve(self.G, _mv(self.A, grad))[0]
-        return _amax(grad - _tmv(self.A, st["nu"])), _amax(grad)
+        return {"x": x, "merit": self.objective(x)}
 
     def direction(self, st):
         grad, Z = st["grad"], self.Z
@@ -538,7 +595,7 @@ class _BpPrimal(_Bp):
 
     def trial(self, st, rows, step):
         x = st["x"][rows] + step
-        return {"x": x, "merit": pnorm._pow_sum(x, self.p)}
+        return {"x": x, "merit": self.objective(x)}
 
     def fallback(self, st, j, it):
         return self.first_order(j, st["x"][j], it)
@@ -580,52 +637,6 @@ def _bp_stack(A, y, p, cfg):
     return out
 
 
-def _bp_projected_gradient(one, cho, x0, iters_used):
-    """Gradient steps projected onto {Ax = y}, with BB trial step and Armijo, on one instance."""
-    A, y, p, cfg = one.A[0], one.y[0], one.p, one.cfg
-    x = _project(A, cho, y, x0)
-    fx = pnorm.pnorm_pow(x, p)
-
-    def proj_grad(v):
-        grad = pnorm.pnorm_grad(v, p)
-        return grad, grad - A.T @ scipy.linalg.cho_solve(cho, A @ grad, check_finite=False)
-
-    def wrap(v, iters, ok):
-        nu = scipy.linalg.cho_solve(cho, A @ pnorm.pnorm_grad(v, p), check_finite=False)
-        return one.solution([0], v[None], nu[None], iters, [ok])[0]
-
-    grad, pg = proj_grad(x)
-    t = 1.0 / max(float(np.abs(pg).max()), 1.0)
-    x_prev = None
-    pg_prev = None
-    it = 0
-    for it in range(cfg.max_iter_first_order):
-        if np.abs(pg).max() <= cfg.kkt_tol * np.abs(grad).max():
-            return wrap(x, iters_used + it, True)
-        if x_prev is not None:
-            s = x - x_prev
-            sg = pg - pg_prev
-            denom = float(s @ sg)
-            if denom > 0:
-                t = min(max(float(s @ s) / denom, 1e-12), 1e8)
-        accepted = False
-        tt = t
-        pg2 = float(pg @ pg)
-        while tt >= 1e-18:
-            x_new = x - tt * pg
-            f_new = pnorm.pnorm_pow(x_new, p)
-            if f_new <= fx - cfg.ls_decrease * tt * pg2 + 1e-14 * abs(fx):
-                x_prev, pg_prev = x, pg
-                x, fx = x_new, f_new
-                grad, pg = proj_grad(x)
-                accepted = True
-                break
-            tt *= cfg.ls_shrink
-        if not accepted:
-            break
-    return wrap(x, iters_used + it + 1, False)
-
-
 def solve_bp(A, y, p, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimize ||x||_p over A x = y for p > 1.
 
@@ -643,8 +654,8 @@ def solve_bp(A, y, p, cfg: SolverConfig | None = None) -> SolveResult:
 # ---------------------------------------------------------------------------
 
 class _Smooth(_Stack):
-    """rr and en: a smooth objective, its gradient, the family's KKT residual
-    (kkt), and BB first-order descent as the fallback."""
+    """rr and en: a smooth objective, its gradient and the family's KKT
+    residual (kkt)."""
 
     def solution(self, rows, x, iters, ok):
         obj = self.objective(x, rows)
@@ -652,18 +663,14 @@ class _Smooth(_Stack):
         return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), iters,
                             CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
-    def measure(self, st):
+    def gradient_measure(self, st):
         st["G"] = self.gradient(st["x"])
         return _amax(st["G"]), self.scale
 
+    measure = gradient_measure
+
     def results(self, st, rows, it, ok):
         return self.solution(rows, st["x"][rows], it, ok)
-
-    def first_order(self, j, x0, iters):
-        return _first_order(self.take([j]), self.x0[j] if x0 is None else x0, iters)
-
-    def fallback(self, st, j, it):
-        return self.first_order(j, st["x"][j], it)
 
 
 class _Rr(_Smooth):
@@ -805,63 +812,6 @@ def _rr_core(A, y, p, lam, cfg, warm):
         _newton(br, out)
     x, iterations = zip(*out)
     return np.array(x), np.array(iterations)
-
-
-def _first_order(one, x0, iters_used=0):
-    """Barzilai-Borwein gradient descent with a nonmonotone Armijo safeguard, on one instance.
-
-    The sufficient-decrease test compares against the worst of the last ten
-    accepted objective values (Grippo style), which lets the BB step keep
-    its fast asymptotic behavior.
-    """
-    cfg = one.cfg
-
-    def obj(v):
-        return float(one.objective(v[None])[0])
-
-    def grad(v):
-        return one.gradient(v[None])[0]
-
-    def wrap(v, iters, ok):
-        return one.solution([0], v[None], iters, [ok])[0]
-
-    x = np.array(x0, dtype=float)
-    fx = obj(x)
-    g = grad(x)
-    scale = float(one.scale[0])
-    t = 1.0 / max(float(np.abs(g).max()), 1.0)
-    x_prev = None
-    g_prev = None
-    recent = [fx]
-    for it in range(cfg.max_iter_first_order):
-        if np.abs(g).max() <= cfg.kkt_tol * scale:
-            return wrap(x, iters_used + it, True)
-        if x_prev is not None:
-            sx = x - x_prev
-            sg = g - g_prev
-            denom = float(sx @ sg)
-            if denom > 0:
-                t = min(max(float(sx @ sx) / denom, 1e-12), 1e8)
-        accepted = False
-        tt = t
-        gnorm2 = float(g @ g)
-        f_ref = max(recent)
-        while tt >= 1e-18:
-            x_new = x - tt * g
-            f_new = obj(x_new)
-            if f_new <= f_ref - cfg.ls_decrease * tt * gnorm2 + 1e-14 * abs(f_ref):
-                x_prev, g_prev = x, g
-                x, fx = x_new, f_new
-                g = grad(x)
-                recent.append(fx)
-                if len(recent) > 10:
-                    recent.pop(0)
-                accepted = True
-                break
-            tt *= cfg.ls_shrink
-        if not accepted:
-            return wrap(x, iters_used + it, False)
-    return wrap(x, iters_used + cfg.max_iter_first_order, False)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,7 +1023,7 @@ def _bpdn_eps_stack(A, y, p, cfg, eps):
         out[k] = SolveResult(np.zeros(N), 0.0, 0.0, 0.0, 0, CONVERGED)
     rows = rows[~slack]
     A, y, eps = A[rows], y[rows], eps[rows]
-    x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, cfg.bisection_tol * ny[rows],
+    x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, _PATH_MATCH_TOL * ny[rows],
                                          1e-8 * ny[rows], _least_norm(A, y))
     mu = 1.0 / (2.0 * lam)
     kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
@@ -1120,7 +1070,7 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
                                  float(kkt[0]), b.iterations, b.status, reduced_to_bp=True)
     rows = np.array([k for k in rows if out[k] is None], dtype=int)
     x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, False, eta[rows],
-                                        cfg.bisection_tol * eta[rows], 1e-8 * eta[rows], x_ls[rows])
+                                        _PATH_MATCH_TOL * eta[rows], 1e-8 * eta[rows], x_ls[rows])
     bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
     r = _mv(A[rows], x) - y[rows]
     kkt = _kkt_bpdn_eta(A[rows], y[rows], x, mu, p, eta[rows])
@@ -1135,10 +1085,6 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
             out[k] = SolveResult(bp[k].x, None, float(np.linalg.norm(A[k] @ bp[k].x - y[k])),
                                  np.inf, bp[k].iterations, DEGENERATE)
     return out
-
-
-_BRANCHES = {"bp": (_BpDual, _BpPrimal), "rr": (_RrResidual, _RrPrimal),
-             "en": (_EnInverse, _EnPrimal)}
 
 
 def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult:
@@ -1472,19 +1418,22 @@ class _Family:
     solve: Callable                   # solve_<family>
     kkt: Callable                     # its residual: (A, y, x, multiplier, p, **params) on stacks
     stack: Optional[Callable] = None  # solve_stack's solver for it (the p > 1 families)
+    branches: Optional[tuple] = None  # its Newton branch classes for p < 2 and p >= 2 (_branch)
     per_row: bool = False             # solve_stack takes one value per instance of each param
     multiplier: Optional[str] = None  # the multiplier its residual needs
 
 
 _P_GT1 = (1.0, np.inf)
 FAMILIES = {
-    "bp": _Family((), _P_GT1, solve_bp, _kkt_bp, _bp_stack, multiplier="nu"),
+    "bp": _Family((), _P_GT1, solve_bp, _kkt_bp, _bp_stack, (_BpDual, _BpPrimal),
+                  multiplier="nu"),
     "bpdn_eps": _Family(("eps",), _P_GT1, solve_bpdn_eps, _kkt_bpdn_eps, _bpdn_eps_stack,
                         per_row=True, multiplier="mu"),
     "bpdn_eta": _Family(("eta",), _P_GT1, solve_bpdn_eta, _kkt_bpdn_eta, _bpdn_eta_stack,
                         per_row=True, multiplier="mu"),
-    "rr": _Family(("lam",), _P_GT1, solve_rr, _kkt_rr, _rr_stack),
-    "en": _Family(("r", "lam1", "lam2"), _P_GT1, solve_en, _kkt_en, _en_stack),
+    "rr": _Family(("lam",), _P_GT1, solve_rr, _kkt_rr, _rr_stack, (_RrResidual, _RrPrimal)),
+    "en": _Family(("r", "lam1", "lam2"), _P_GT1, solve_en, _kkt_en, _en_stack,
+                  (_EnInverse, _EnPrimal)),
     "bp_l1": _Family((), None, solve_bp_l1, _kkt_bp_l1, multiplier="nu"),
     "rr_irls": _Family(("lam",), (0.0, 1.0), solve_rr_irls, _kkt_rr_irls),
 }

@@ -127,6 +127,17 @@ class TestSolveCommand:
         assert doc["status"] != "converged"
         assert rc == 2
 
+    @pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
+                                            ("--max-iter", "0")])
+    def test_bad_solver_config_exits_1(self, tmp_path, capsys, flag, value):
+        mp, yp = write_instance(tmp_path, [[1.0, 1.0]], [2.0])
+        out = tmp_path / "res.json"
+        rc = main(["solve", "--family", "bp", "--p", "3", "--matrix", mp, "--rhs", yp,
+                   "--out", str(out), flag, value])
+        assert rc == 1
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_file_and_manifest(self, tmp_path):
         mp, yp = write_instance(tmp_path, [[1.0, 1.0]], [2.0])
         out = tmp_path / "res.json"

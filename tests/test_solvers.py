@@ -33,8 +33,8 @@ def random_instance(rng, m, n):
 def first_order(family, A, y, p, *params):
     """The first-order method alone on one instance, from the start point of
     the branch that p picks (params: those of the branch class)."""
-    branch = lps.solvers._branch(family, p)
-    return branch(np.array([A]), np.array([y]), p, SolverConfig(), *params).first_order(0, None, 0)
+    br = lps.solvers._branch(family, p)(np.array([A]), np.array([y]), p, SolverConfig(), *params)
+    return br.fallback(br.start(), 0, 0)
 
 
 class TestSolveBP:
@@ -564,19 +564,51 @@ class TestSolveStack:
         assert any(r.converged for r in singles)
 
     def test_first_order_fallback(self, monkeypatch):
-        # bp at p = 1.05: some instances leave the stack for projected gradient
+        # bp at p = 1.05: some instances leave the stack for the first-order method
         fallbacks = []
-        inner = lps.solvers._bp_projected_gradient
+        inner = lps.solvers._first_order
 
         def counted(one, *args):
             fallbacks.append(one.p)
             return inner(one, *args)
 
-        monkeypatch.setattr(lps.solvers, "_bp_projected_gradient", counted)
+        monkeypatch.setattr(lps.solvers, "_first_order", counted)
+        monkeypatch.setattr(lps.solvers, "_FIRST_ORDER_MAX_ITER", 300)
         rng = np.random.default_rng(11)
         A, y = rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8))
-        self._check("bp", A, y, 1.05, SolverConfig(max_iter_first_order=300))
+        self._check("bp", A, y, 1.05)
         assert fallbacks
+
+    @pytest.mark.parametrize("family", ["bp", "rr", "en"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_forced_fallback(self, monkeypatch, family, p):
+        # the first line search of the stack moves no row, so every row of
+        # either branch finishes in the first-order method at once
+        rng = np.random.default_rng(int(p * 10))
+        A, y = rng.normal(size=(4, 8, 20)), rng.normal(size=(4, 8))
+        newton = solve_stack(family, A, y, p, **self.PARAMS[family])
+        searches, fallbacks = [], []
+        inner_search, inner_first_order = lps.solvers._line_search, lps.solvers._first_order
+
+        def failing(br, st, d, slope, failed):
+            searches.append(br.size)
+            if len(searches) == 1:
+                return np.zeros(br.size, dtype=bool)
+            return inner_search(br, st, d, slope, failed)
+
+        def counted(one, *args):
+            fallbacks.append(one.p)
+            return inner_first_order(one, *args)
+
+        monkeypatch.setattr(lps.solvers, "_line_search", failing)
+        monkeypatch.setattr(lps.solvers, "_first_order", counted)
+        forced = solve_stack(family, A, y, p, **self.PARAMS[family])
+        assert searches == [4] and len(fallbacks) == 4
+        for k, (a, b) in enumerate(zip(newton, forced)):
+            inst = ProblemInstance(A[k], y[k], family, p=p, **self.PARAMS[family])
+            assert b.converged, k
+            assert kkt_residual(inst, b) == b.kkt_residual
+            assert np.linalg.norm(b.x - a.x) <= 1e-6 * np.linalg.norm(a.x), k
 
     def test_failing_instance_stays_apart(self):
         rng = np.random.default_rng(3)
@@ -603,10 +635,11 @@ class TestSolveStack:
             return moved
 
         monkeypatch.setattr(lps.solvers, "_line_search", spied)
+        monkeypatch.setattr(lps.solvers, "_FIRST_ORDER_MAX_ITER", 300)
         rng = np.random.default_rng(11)
         A, y = rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8))
         for p in (1.02, 1.05):
-            solve_stack("bp", A, y, p, SolverConfig(max_iter_first_order=300))
+            solve_stack("bp", A, y, p)
         assert failures
         assert len(set(failures)) == len(failures), "a row failed twice from one state"
 
@@ -723,15 +756,15 @@ class TestBpdnStack:
         rows = solve_stack("bpdn_eta", A, y, 3.0, eta=1.0)
         assert all(isinstance(r, RankDeficientError) for r in rows)
 
-    def test_degenerate_row(self):
+    def test_degenerate_row(self, monkeypatch):
         # bp falls back and stops short on row 13 at p = 1.05 (see
         # test_first_order_fallback), so a target just under its ||x_bp||_p
         # lies past the whole path
+        monkeypatch.setattr(lps.solvers, "_FIRST_ORDER_MAX_ITER", 300)
         rng = np.random.default_rng(11)
         A, y = rng.normal(size=(48, 8, 20))[12:15], rng.normal(size=(48, 8))[12:15]
-        cfg = SolverConfig(max_iter_first_order=300)
-        eta = np.array([0.999 * pnorm.pnorm(r.x, 1.05) for r in solve_stack("bp", A, y, 1.05, cfg)])
-        rows = self._check("bpdn_eta", A, y, 1.05, eta, cfg)
+        eta = np.array([0.999 * pnorm.pnorm(r.x, 1.05) for r in solve_stack("bp", A, y, 1.05)])
+        rows = self._check("bpdn_eta", A, y, 1.05, eta)
         assert rows[1].status == "degenerate" and rows[1].multiplier is None
 
 
@@ -924,6 +957,15 @@ class TestFamilyTable:
                         call()
         with pytest.raises(InvalidInputError):  # no p, or a family solve_stack does not take
             solve_stack(family, A[None], y[None], **dict(valid, p=None))
+
+    @pytest.mark.parametrize("family", list(VALID))
+    def test_bad_config_raises_invalid_input(self, family):
+        A, y = random_instance(np.random.default_rng(5), 3, 7)
+        solve = getattr(lps.solvers, "solve_" + family)
+        for cfg in (SolverConfig(kkt_tol=0.0), SolverConfig(kkt_tol=np.nan),
+                    SolverConfig(max_iter=0), SolverConfig(max_iter=2.5)):
+            with pytest.raises(InvalidInputError):
+                solve(A, y, cfg=cfg, **self.VALID[family])
 
 
 class TestOneKktDefinition:
