@@ -30,17 +30,15 @@ from .ensembles import (
 )
 from .errors import (
     CapacityError,
-    InvalidIndexError,
     InvalidInputError,
     LpsError,
-    NotPositiveDefiniteError,
     RankDeficientError,
     SingularPointError,
     UndefinedDerivativeError,
     UnsupportedExponentError,
 )
-from .linalg import affine_project, is_invertible, least_norm_solution, solve_spd, submatrix_cols
-from .pnorm import g_prime, g_scalar, h_prime, h_scalar, pnorm_grad, pnorm_pow, pnorm_r_hessian
+from .linalg import affine_project, is_invertible, least_norm_solution
+from .pnorm import g_prime, g_scalar, h_prime, h_scalar, pnorm_grad, pnorm_pow
 from .solvers import (
     ProblemInstance,
     SolveResult,
@@ -65,13 +63,10 @@ __all__ = [
     "run_genericity_experiment", "run_recovery_comparison", "support",
     "EnsembleSpec", "gen_gaussian_instance", "gen_sparse_measured",
     "is_in_set_S", "rip_constant",
-    "CapacityError", "InvalidIndexError", "InvalidInputError", "LpsError",
-    "NotPositiveDefiniteError", "RankDeficientError", "SingularPointError",
-    "UndefinedDerivativeError", "UnsupportedExponentError",
-    "affine_project", "is_invertible", "least_norm_solution", "solve_spd",
-    "submatrix_cols",
-    "g_prime", "g_scalar", "h_prime", "h_scalar", "pnorm_grad",
-    "pnorm_pow", "pnorm_r_hessian",
+    "CapacityError", "InvalidInputError", "LpsError", "RankDeficientError",
+    "SingularPointError", "UndefinedDerivativeError", "UnsupportedExponentError",
+    "affine_project", "is_invertible", "least_norm_solution",
+    "g_prime", "g_scalar", "h_prime", "h_scalar", "pnorm_grad", "pnorm_pow",
     "ProblemInstance", "SolveResult", "SolverConfig", "kkt_residual",
     "solve_bp", "solve_bp_l1", "solve_bpdn_eps", "solve_bpdn_eta", "solve_en",
     "solve_instance", "solve_rr", "solve_rr_irls", "solve_stack",

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, analysis, ensembles, io_text
-from .errors import CapacityError, InvalidInputError, LpsError
+from .errors import InvalidInputError, LpsError
 from .solvers import CONVERGED, FAMILIES, ProblemInstance, SolverConfig, solve_instance
 
 CLI_FAMILIES = tuple(f.replace("_", "-") for f in FAMILIES)
@@ -296,8 +296,6 @@ def cmd_rip(args) -> int:
     try:
         A = io_text.load_matrix(args.matrix)
         delta = ensembles.rip_constant(A, args.order)
-    except CapacityError as exc:
-        return _fail(str(exc))
     except (LpsError, OSError) as exc:
         return _fail(str(exc))
     print(f"{delta:.12g}")

@@ -18,15 +18,7 @@ class UndefinedDerivativeError(InvalidInputError):
 
 
 class SingularPointError(InvalidInputError):
-    """Operation undefined at this point (e.g. Hessian of a norm power at 0)."""
-
-
-class InvalidIndexError(InvalidInputError):
-    """Column/row index set is out of range or contains duplicates."""
-
-
-class NotPositiveDefiniteError(LpsError):
-    """A symmetric factorization found a non-positive pivot."""
+    """Operation undefined at this point (e.g. a negative power of 0)."""
 
 
 class RankDeficientError(LpsError):

@@ -1,9 +1,9 @@
 """Dense linear-algebra kernels used by the solvers.
 
 Everything here is dense and desk-scale (m, N up to a few hundred):
-symmetric positive-definite solves via Cholesky, minimum-norm solutions of
-underdetermined systems, projection onto affine sets {x : Ax = y}, column
-submatrix extraction, and a pivot-based invertibility test.
+minimum-norm solutions of underdetermined systems and projection onto
+affine sets {x : Ax = y}, both via a Cholesky factor of A A^T, and a
+pivot-based invertibility test.
 """
 
 from __future__ import annotations
@@ -13,22 +13,13 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    InvalidIndexError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
+from .errors import InvalidInputError, RankDeficientError
 
 __all__ = [
-    "solve_spd",
     "least_norm_solution",
     "affine_project",
-    "submatrix_cols",
     "is_invertible",
 ]
-
-_SYM_TOL = 1e-10
 
 
 def _as_matrix(M, name: str = "M") -> np.ndarray:
@@ -45,25 +36,6 @@ def _as_vector(b, name: str = "b") -> np.ndarray:
     if arr.size and not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
-
-
-def solve_spd(M, b) -> np.ndarray:
-    """Solve M z = b for symmetric positive-definite M via Cholesky."""
-    M = _as_matrix(M)
-    b = _as_vector(b)
-    n = M.shape[0]
-    if M.shape[1] != n or b.shape[0] != n:
-        raise InvalidInputError(f"shape mismatch: M is {M.shape}, b has length {b.shape[0]}")
-    scale = np.abs(M).max() if M.size else 0.0
-    if np.abs(M - M.T).max(initial=0.0) > _SYM_TOL * max(1.0, scale):
-        raise InvalidInputError("M is not symmetric")
-    try:
-        c, low = scipy.linalg.cho_factor(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    if np.abs(np.diag(c)).min() ** 2 <= 1e-14 * max(scale, 1e-300):
-        raise NotPositiveDefiniteError("pivot below positive-definiteness threshold")
-    return scipy.linalg.cho_solve((c, low), b, check_finite=False)
 
 
 def _gram_factor(A: np.ndarray):
@@ -104,21 +76,6 @@ def affine_project(A, y, x) -> np.ndarray:
         )
     c = _gram_factor(A)
     return x - A.T @ scipy.linalg.cho_solve(c, A @ x - y, check_finite=False)
-
-
-def submatrix_cols(A, indices) -> np.ndarray:
-    """Columns of A selected by the index set, in ascending index order."""
-    A = _as_matrix(A, "A")
-    idx = np.asarray(sorted(indices), dtype=int)
-    if idx.size == 0:
-        raise InvalidIndexError("index set is empty")
-    if len(set(idx.tolist())) != idx.size:
-        raise InvalidIndexError("index set contains duplicates")
-    if idx.min() < 0 or idx.max() >= A.shape[1]:
-        raise InvalidIndexError(
-            f"index out of range: valid columns are 0..{A.shape[1] - 1}"
-        )
-    return A[:, idx].copy()
 
 
 def is_invertible(M, tol: float = 1e-12) -> bool:

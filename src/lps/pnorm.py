@@ -33,7 +33,6 @@ __all__ = [
     "g_prime",
     "h_prime",
     "pnorm_grad",
-    "pnorm_r_hessian",
 ]
 
 
@@ -213,27 +212,3 @@ def h_prime(z, p: float):
 def pnorm_grad(x, p: float) -> np.ndarray:
     """Gradient of f(x) = sum |x_i|^p: the componentwise g map."""
     return _g(_as_finite_array(x), _require_p_gt1(p))
-
-
-def pnorm_r_hessian(x, p: float, r: float) -> np.ndarray:
-    """Hessian of ||x||_p^r at nonzero x, for p >= 2 and r >= 1.
-
-    H = (r/p) * ||x||_p^(r-p) * [ Lambda(x)
-            + ((r-p) / (p ||x||_p^p)) * grad_f(x) grad_f(x)^T ],
-
-    with Lambda(x) = diag(g'(x_i)).  Positive semi-definite for r >= 1.
-    """
-    p = _check_exponent(p)
-    if p < 2.0:
-        raise UnsupportedExponentError(f"pnorm_r_hessian requires p >= 2, got p={p}")
-    r = float(r)
-    if r < 1.0:
-        raise InvalidInputError(f"pnorm_r_hessian requires r >= 1, got r={r}")
-    arr = _as_finite_array(x)
-    if not np.any(arr):
-        raise SingularPointError("Hessian of ||.||_p^r is undefined at x = 0")
-    fpow = float(_pow_sum(arr, p))
-    lam = _g_prime(arr, p)
-    grad = _g(arr, p)
-    core = np.diag(lam) + ((r - p) / (p * fpow)) * np.outer(grad, grad)
-    return (r / p) * fpow ** ((r - p) / p) * core

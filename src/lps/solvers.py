@@ -478,9 +478,6 @@ class _Bp(_Stack):
         super().__init__(A, y, p, cfg)
         self.G = np.matmul(A, A.transpose(0, 2, 1))
 
-    def least_norm(self):
-        return _tmv(self.A, _solve(self.G, self.y)[0])
-
     def solution(self, rows, x, nu, iters, ok):
         kkt = _kkt_bp(self.A[rows], self.y[rows], x, nu, self.p)
         obj = pnorm._pow_sum(x, self.p) ** (1.0 / self.p)
@@ -575,7 +572,7 @@ class _BpPrimal(_Bp):
         self.Z = np.linalg.svd(A)[2][:, m:, :].transpose(0, 2, 1)
 
     def start(self):
-        x = self.least_norm()
+        x = _least_norm(self.A, self.y)
         return {"x": x, "merit": self.objective(x)}
 
     def direction(self, st):
@@ -1308,7 +1305,9 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
     eps: 1 -> 1e-12.  Each reweighted solve minimizes a majorizer of the
     smoothed objective, so the smoothed objective is monotone non-increasing
     along the iteration.  When `trace` is a list, (eps, smoothed objective)
-    pairs are appended after every inner step.
+    pairs are appended after every inner step.  The status is converged
+    when the KKT residual at the final eps is at most kkt_tol * ||A^T y||_inf,
+    the scale solve_rr stops at.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
@@ -1324,7 +1323,6 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
     aty = A.T @ y
     x = _solve_shifted(AtA + lam * np.eye(n), aty, 1.0)
     iters = 0
-    final_inner_converged = False
     eps = _IRLS_EPS_START
     if trace is not None:
         trace.append((eps, smoothed_irls_objective(A, y, x, p, lam, eps)))
@@ -1338,17 +1336,14 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
             if trace is not None:
                 trace.append((eps, smoothed_irls_objective(A, y, x, p, lam, eps)))
             if step <= 1e-13 * (1.0 + float(np.abs(x).max())):
-                final_inner_converged = True
                 break
-        else:
-            final_inner_converged = False
         if eps <= _IRLS_EPS_FINAL:
             break
         eps = max(eps * _IRLS_EPS_SHRINK, _IRLS_EPS_FINAL)
 
-    status = CONVERGED if final_inner_converged else MAX_ITER
     obj = 0.5 * float(np.sum((A @ x - y) ** 2)) + lam * pnorm.pnorm_pow(x, p)
     kkt = float(_kkt_rr_irls(A[None], y[None], x[None], None, p, lam)[0])
+    status = CONVERGED if kkt <= cfg.kkt_tol * float(np.abs(aty).max()) else MAX_ITER
     return SolveResult(x, None, obj, kkt, iters, status)
 
 

@@ -2,47 +2,7 @@ import numpy as np
 import pytest
 
 from lps import linalg
-from lps.errors import (
-    InvalidIndexError,
-    InvalidInputError,
-    NotPositiveDefiniteError,
-    RankDeficientError,
-)
-
-
-class TestSolveSpd:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.solve_spd(np.eye(3), [1.0, 2.0, 3.0]), [1, 2, 3])
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(linalg.solve_spd(np.diag([2.0, 4.0]), [2.0, 4.0]), [1, 1])
-
-    def test_small_dense(self):
-        M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        b = np.array([3.0, 3.0])
-        z = linalg.solve_spd(M, b)
-        np.testing.assert_allclose(M @ z, b, atol=1e-12)
-        np.testing.assert_allclose(z, [1.0, 1.0])
-
-    def test_residual_bound_random(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = rng.integers(1, 12)
-            B = rng.normal(size=(n, n))
-            M = B.T @ B + np.eye(n)
-            b = rng.normal(size=n)
-            z = linalg.solve_spd(M, b)
-            assert np.linalg.norm(M @ z - b) <= 1e-10 * (1 + np.linalg.norm(b))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(InvalidInputError):
-            linalg.solve_spd([[1.0, 2.0], [0.0, 1.0]], [1.0, 1.0])
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            linalg.solve_spd([[1.0, 0.0], [0.0, -1.0]], [1.0, 1.0])
-        with pytest.raises(NotPositiveDefiniteError):
-            linalg.solve_spd([[1.0, 0.0], [0.0, 1e-16]], [1.0, 1.0])
+from lps.errors import InvalidInputError, RankDeficientError
 
 
 class TestLeastNorm:
@@ -102,33 +62,6 @@ class TestAffineProject:
             p1 = linalg.affine_project(A, y, x)
             p2 = linalg.affine_project(A, y, p1)
             assert np.abs(p2 - p1).max() <= 1e-10 * (1 + np.abs(p1).max())
-
-
-class TestSubmatrix:
-    def test_pick_two_of_identity(self):
-        out = linalg.submatrix_cols(np.eye(3), [0, 2])
-        np.testing.assert_array_equal(out, np.eye(3)[:, [0, 2]])
-
-    def test_identity_selection(self):
-        A = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(linalg.submatrix_cols(A, [0, 1, 2]), A)
-
-    def test_single_column(self):
-        np.testing.assert_array_equal(linalg.submatrix_cols([[1.0, 2.0, 3.0]], [1]), [[2.0]])
-
-    def test_ascending_order(self):
-        A = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(
-            linalg.submatrix_cols(A, [2, 0]), A[:, [0, 2]]
-        )
-
-    def test_invalid_indices(self):
-        with pytest.raises(InvalidIndexError):
-            linalg.submatrix_cols(np.eye(2), [0, 0])
-        with pytest.raises(InvalidIndexError):
-            linalg.submatrix_cols(np.eye(2), [0, 2])
-        with pytest.raises(InvalidIndexError):
-            linalg.submatrix_cols(np.eye(2), [])
 
 
 class TestIsInvertible:

@@ -6,24 +6,9 @@ import pytest
 from lps import pnorm
 from lps.errors import (
     InvalidInputError,
-    SingularPointError,
     UndefinedDerivativeError,
     UnsupportedExponentError,
 )
-
-
-def fd_hessian(f, x, h):
-    """Centered second differences of a scalar function."""
-    n = len(x)
-    H = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            xpp = x.copy(); xpp[i] += h; xpp[j] += h
-            xpm = x.copy(); xpm[i] += h; xpm[j] -= h
-            xmp = x.copy(); xmp[i] -= h; xmp[j] += h
-            xmm = x.copy(); xmm[i] -= h; xmm[j] -= h
-            H[i, j] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h * h)
-    return H
 
 
 class TestPnormPow:
@@ -219,32 +204,6 @@ class TestGrad:
                 e = np.zeros(4); e[i] = step
                 fd = (pnorm.pnorm_pow(x + e, p) - pnorm.pnorm_pow(x - e, p)) / (2 * step)
                 assert g[i] == pytest.approx(fd, rel=1e-5)
-
-
-class TestHessian:
-    def test_euclidean_squared(self):
-        np.testing.assert_allclose(pnorm.pnorm_r_hessian([1.0, 0.0], 2, 2), 2.0 * np.eye(2))
-        np.testing.assert_allclose(pnorm.pnorm_r_hessian([1.0, 1.0], 2, 2), 2.0 * np.eye(2))
-
-    def test_matches_fd(self):
-        x = np.array([1.0, 2.0])
-        H = pnorm.pnorm_r_hessian(x, 4, 2)
-        Hfd = fd_hessian(lambda v: pnorm.pnorm_pow(v, 4) ** 0.5, x, 1e-4)
-        np.testing.assert_allclose(H, Hfd, atol=1e-5)
-
-    def test_psd_random(self):
-        rng = np.random.default_rng(9)
-        for _ in range(30):
-            x = rng.normal(size=5)
-            p = 2.0 + 2.0 * rng.random()
-            r = 1.0 + 2.0 * rng.random()
-            H = pnorm.pnorm_r_hessian(x, p, r)
-            np.testing.assert_allclose(H, H.T, atol=1e-12)
-            assert np.linalg.eigvalsh(H).min() >= -1e-10
-
-    def test_rejects_zero_point(self):
-        with pytest.raises(SingularPointError):
-            pnorm.pnorm_r_hessian([0.0, 0.0], 2, 2)
 
 
 def test_strict_convexity_margin():

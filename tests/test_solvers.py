@@ -872,6 +872,24 @@ class TestSolveRrIrls:
         with pytest.raises(InvalidInputError):
             solve_rr_irls(np.eye(2), [1.0, 1.0], 1.5, 0.1)
 
+    def test_status_follows_kkt_residual(self):
+        # a 1-sparse instance whose last smoothing stage runs out its inner
+        # steps without meeting the step test, at a KKT residual that passes
+        rng = np.random.default_rng(63)
+        A = rng.normal(size=(8, 20))
+        x0 = np.zeros(20)
+        x0[rng.choice(20, 1, replace=False)] = rng.choice([-1.0, 1.0], 1)
+        y = A @ x0
+        tr = []
+        res = solve_rr_irls(A, y, 0.5, 0.1, trace=tr)
+        assert sum(eps == tr[-1][0] for eps, _ in tr) == lps.solvers._IRLS_INNER_MAX
+        scale = np.abs(A.T @ y).max()
+        assert res.kkt_residual <= 1e-10 * scale
+        assert res.status == "converged"
+        tight = solve_rr_irls(A, y, 0.5, 0.1, SolverConfig(kkt_tol=1e-14))
+        assert tight.kkt_residual > 1e-14 * scale
+        assert tight.status == "max_iter"
+
 
 class TestKktResidual:
     def test_exact_bp_pair(self):
