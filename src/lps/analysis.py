@@ -15,8 +15,10 @@ runs and worker counts.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -597,20 +599,64 @@ def _recovery_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> li
     return [_recovery_trial(cfg, p_index, trial) for trial in range(lo, hi)]
 
 
+_pool = None  # the process pool _run_trials reuses across calls
+_pool_lock = threading.Lock()  # held by the call using _pool, so threads take turns
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The module's pool with `workers` workers, made at first use.
+
+    It is replaced, the old one shut down first, when the worker count
+    changes, when it is broken, or when its type is no longer exactly
+    ProcessPoolExecutor as this module names it now (so that a patched
+    name takes effect).  The exit hook of concurrent.futures joins it.
+    _max_workers and _broken are the executor's own attributes.
+    """
+    global _pool
+    if (_pool is None or _pool._max_workers != workers or _pool._broken
+            or type(_pool) is not ProcessPoolExecutor):
+        _drop_pool()
+        _pool = ProcessPoolExecutor(max_workers=workers)
+    return _pool
+
+
+def _drop_pool():
+    global _pool
+    if _pool is not None:
+        _pool.shutdown()
+    _pool = None
+
+
 def _run_trials(chunk_fn, cfg: ExperimentConfig, workers: int):
     """Records of every (p_index, trial), in that order.
 
     Tasks are chunks of at most CHUNK trials at one p, the same for every
     worker count, so the records are too; the pool gets one task per chunk.
+    With workers > 1 they run in the module's one pool (_shared_pool),
+    whose workers are forked with the module state of the moment the pool
+    was created: a later change to a module's globals does not reach them.
+    Calls from several threads take turns with it.  If collecting the
+    results raises, the call's pending chunks are cancelled, and a broken
+    pool is dropped.
     """
     chunks = [(p_index, lo, min(lo + CHUNK, cfg.trials))
               for p_index in range(len(cfg.p_grid))
               for lo in range(0, cfg.trials, CHUNK)]
     if workers <= 1:
         return [rec for c in chunks for rec in chunk_fn(cfg, *c)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(chunk_fn, cfg, *c) for c in chunks]
-        return [rec for f in futures for rec in f.result()]
+    with _pool_lock:
+        pool = _shared_pool(workers)
+        futures = []
+        try:
+            for c in chunks:
+                futures.append(pool.submit(chunk_fn, cfg, *c))
+            return [rec for f in futures for rec in f.result()]
+        except BaseException as exc:
+            for f in futures:
+                f.cancel()
+            if isinstance(exc, BrokenProcessPool):
+                _drop_pool()
+            raise
 
 
 def run_genericity_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:

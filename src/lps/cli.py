@@ -214,7 +214,13 @@ def cmd_experiment(args) -> int:
     started = _now()
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("LPS_WORKERS", "1"))
+        env = os.environ.get("LPS_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            workers = 0
+        if workers < 1:
+            return _fail(f"LPS_WORKERS must be an integer >= 1, got {env!r}")
     if workers < 1:
         return _fail("--workers must be >= 1")
     try:

@@ -89,7 +89,8 @@ _L1_DUAL_TOL = 1e-9
 _IRLS_EPS_START = 1.0
 _IRLS_EPS_FINAL = 1e-12
 _IRLS_EPS_SHRINK = 0.1
-_IRLS_INNER_MAX = 60
+_IRLS_INNER_MAX = 60  # steps per stage
+_IRLS_FINAL_MAX = 600  # steps at the last stage, eps = _IRLS_EPS_FINAL
 
 _TIKHONOV = 1e-12
 
@@ -1302,9 +1303,10 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
     """Local solver for 0.5 ||A x - y||_2^2 + lam sum (x_i^2 + eps)^(p/2), 0 < p < 1.
 
     Iteratively reweighted least squares on a decreasing smoothing schedule
-    eps: 1 -> 1e-12.  Each reweighted solve minimizes a majorizer of the
-    smoothed objective, so the smoothed objective is monotone non-increasing
-    along the iteration.  When `trace` is a list, (eps, smoothed objective)
+    eps: 1 -> 1e-12, with 60 inner steps per stage and 600 at the last.
+    Each reweighted solve minimizes a majorizer of the smoothed objective,
+    so the smoothed objective is monotone non-increasing along the
+    iteration.  When `trace` is a list, (eps, smoothed objective)
     pairs are appended after every inner step.  The status is converged
     when the KKT residual at the final eps is at most kkt_tol * ||A^T y||_inf,
     the scale solve_rr stops at.
@@ -1327,7 +1329,7 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
     if trace is not None:
         trace.append((eps, smoothed_irls_objective(A, y, x, p, lam, eps)))
     while True:
-        for _ in range(_IRLS_INNER_MAX):
+        for _ in range(_IRLS_FINAL_MAX if eps <= _IRLS_EPS_FINAL else _IRLS_INNER_MAX):
             w = (x * x + eps) ** (p / 2.0 - 1.0)
             x_new = _solve_shifted(AtA + lam * p * np.diag(w), aty, 1.0)
             iters += 1

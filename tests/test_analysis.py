@@ -1,3 +1,13 @@
+import dataclasses
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -250,6 +260,124 @@ class TestRecoveryComparison:
             analysis.run_recovery_comparison(
                 ExperimentConfig(family="bp_l1", m=4, N=8, trials=2, master_seed=1, p_grid=(1.0,))
             )
+
+
+def _records(stats):
+    """The trial records with wall_time_ms, the one field that may differ, zeroed."""
+    return [dataclasses.replace(r, wall_time_ms=0.0) for r in stats.trials]
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _kill_own_worker(cfg, p_index, lo, hi):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise_in_worker(cfg, p_index, lo, hi):
+    raise ValueError(f"chunk {lo}")
+
+
+class TestSharedPool:
+    # 130 trials: three chunks per p
+    CFG = ExperimentConfig(family="bp", m=3, N=8, trials=130, master_seed=5, p_grid=(1.5, 3.0))
+
+    @pytest.fixture(autouse=True)
+    def fresh_pool(self):
+        analysis._drop_pool()
+        yield
+        analysis._drop_pool()
+
+    def test_one_pool_across_calls(self, monkeypatch):
+        made = []
+
+        class Counting(analysis.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(self)
+                super().__init__(*args, **kwargs)
+
+        serial = _records(analysis.run_genericity_experiment(self.CFG))
+        analysis.run_genericity_experiment(self.CFG, workers=2)
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", Counting)
+        for _ in range(3):
+            assert _records(analysis.run_genericity_experiment(self.CFG, workers=2)) == serial
+        assert len(made) == 1 and analysis._pool is made[0]
+        monkeypatch.undo()  # the pool's type is no longer the name's: replaced
+        analysis.run_genericity_experiment(self.CFG, workers=2)
+        assert type(analysis._pool) is analysis.ProcessPoolExecutor
+
+    def test_worker_count_change_replaces_pool(self):
+        analysis.run_genericity_experiment(self.CFG, workers=2)
+        first = analysis._pool
+        old = list(first._processes)
+        analysis.run_genericity_experiment(self.CFG, workers=3)
+        assert analysis._pool is not first
+        assert len(analysis._pool._processes) == 3
+        assert len(old) == 2 and not any(_alive(pid) for pid in old)
+
+    def test_chunk_error_keeps_pool(self):
+        serial = _records(analysis.run_genericity_experiment(self.CFG))
+        analysis.run_genericity_experiment(self.CFG, workers=2)
+        pool = analysis._pool
+        with pytest.raises(ValueError, match="chunk 0"):
+            analysis._run_trials(_raise_in_worker, self.CFG, 2)
+        assert _records(analysis.run_genericity_experiment(self.CFG, workers=2)) == serial
+        assert analysis._pool is pool
+
+    def test_killed_workers(self):
+        serial = _records(analysis.run_genericity_experiment(self.CFG))
+        # killed during a call: the call raises, the next gets a new pool
+        with pytest.raises(BrokenProcessPool):
+            analysis._run_trials(_kill_own_worker, self.CFG, 2)
+        assert analysis._pool is None
+        assert _records(analysis.run_genericity_experiment(self.CFG, workers=2)) == serial
+        # killed between calls: the broken pool is replaced
+        pool = analysis._pool
+        for pid in list(pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 30.0
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert pool._broken
+        assert _records(analysis.run_genericity_experiment(self.CFG, workers=2)) == serial
+        assert analysis._pool is not pool
+
+    def test_threads_take_turns(self):
+        # three threads whose calls alternate between 2 and 3 workers, so
+        # that most calls replace the pool another thread's call used
+        serial = _records(analysis.run_genericity_experiment(self.CFG))
+        with ThreadPoolExecutor(max_workers=3) as threads:
+            runs = [threads.submit(analysis.run_genericity_experiment, self.CFG, workers=2 + k % 2)
+                    for k in range(6)]
+            assert all(_records(r.result(timeout=120)) == serial for r in runs)
+
+    def test_recovery_workers(self):
+        cfg = ExperimentConfig(family="bp_l1", m=8, N=16, trials=8, master_seed=2,
+                               p_grid=(1.0,), sparsity=2)
+        serial = _records(analysis.run_recovery_comparison(cfg))
+        assert _records(analysis.run_recovery_comparison(cfg, workers=2)) == serial
+
+    def test_clean_exit(self):
+        code = (
+            "from lps import analysis\n"
+            "cfg = analysis.ExperimentConfig(family='bp', m=3, N=8, trials=20, master_seed=5,"
+            " p_grid=(1.5,))\n"
+            "analysis.run_genericity_experiment(cfg, workers=2)\n"
+            "print(*analysis._pool._processes)\n"
+        )
+        src_dir = pathlib.Path(analysis.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        pids = [int(t) for t in proc.stdout.split()]
+        assert len(pids) == 2 and not any(_alive(pid) for pid in pids)
 
 
 class TestPerturbationRobustness:

@@ -303,6 +303,15 @@ class TestExperimentCommand:
         assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out2)]) == 0
         assert strip_wall_time(out1.read_text()) == strip_wall_time(out2.read_text())
 
+    def test_workers_env_not_an_integer(self, tmp_path, monkeypatch, capsys):
+        cfgp = self.config(tmp_path, trials=3)
+        monkeypatch.setenv("LPS_WORKERS", "two")
+        rc = main(["experiment", "--kind", "genericity", "--config", cfgp,
+                   "--out", str(tmp_path / "o.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: LPS_WORKERS must be an integer >= 1, got 'two'\n"
+        assert not (tmp_path / "o.csv").exists()
+
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({

@@ -872,9 +872,12 @@ class TestSolveRrIrls:
         with pytest.raises(InvalidInputError):
             solve_rr_irls(np.eye(2), [1.0, 1.0], 1.5, 0.1)
 
-    def test_status_follows_kkt_residual(self):
+    def test_status_follows_kkt_residual(self, monkeypatch):
         # a 1-sparse instance whose last smoothing stage runs out its inner
-        # steps without meeting the step test, at a KKT residual that passes
+        # steps without meeting the step test, at a KKT residual that passes;
+        # it meets the step test after 118 last-stage steps, so the last
+        # stage gets the 60 of the others here
+        monkeypatch.setattr(lps.solvers, "_IRLS_FINAL_MAX", lps.solvers._IRLS_INNER_MAX)
         rng = np.random.default_rng(63)
         A = rng.normal(size=(8, 20))
         x0 = np.zeros(20)
@@ -882,13 +885,28 @@ class TestSolveRrIrls:
         y = A @ x0
         tr = []
         res = solve_rr_irls(A, y, 0.5, 0.1, trace=tr)
-        assert sum(eps == tr[-1][0] for eps, _ in tr) == lps.solvers._IRLS_INNER_MAX
+        assert sum(eps == tr[-1][0] for eps, _ in tr) == lps.solvers._IRLS_FINAL_MAX
         scale = np.abs(A.T @ y).max()
         assert res.kkt_residual <= 1e-10 * scale
         assert res.status == "converged"
         tight = solve_rr_irls(A, y, 0.5, 0.1, SolverConfig(kkt_tol=1e-14))
         assert tight.kkt_residual > 1e-14 * scale
         assert tight.status == "max_iter"
+
+    @pytest.mark.parametrize("seed", [335, 386])
+    def test_last_stage_budget_reaches_kkt(self, seed):
+        # 3-sparse instances at p = 0.8 whose last stage needs more than 60
+        # steps to meet the KKT test
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(8, 20))
+        x0 = np.zeros(20)
+        x0[rng.choice(20, 3, replace=False)] = rng.choice([-1.0, 1.0], 3)
+        y = A @ x0
+        tr = []
+        res = solve_rr_irls(A, y, 0.8, 0.1, trace=tr)
+        assert sum(eps == tr[-1][0] for eps, _ in tr) > lps.solvers._IRLS_INNER_MAX
+        assert res.status == "converged"
+        assert res.kkt_residual <= 1e-11 * np.abs(A.T @ y).max()
 
 
 class TestKktResidual:
