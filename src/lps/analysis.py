@@ -325,6 +325,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
+        for name in ("m", "N", "trials", "master_seed", "sparsity"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) and not (name == "sparsity" and v is None):
+                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise InvalidInputError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if self.m < 1 or self.N < 1:

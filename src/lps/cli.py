@@ -134,30 +134,42 @@ def _load_experiment_config(path, kind):
         raise InvalidInputError("config must be a JSON object")
     problems = [f"unknown field {k!r}" for k in raw if k not in _EXPERIMENT_KEYS]
 
-    def need(key, typ):
+    def whole(key, required=True):
+        """raw[key] as an int; a fraction is invalid, not truncated."""
+        if raw.get(key) is None and not required:
+            return None
         if key not in raw:
             problems.append(f"missing field {key!r}")
             return None
+        v = raw[key]
         try:
-            return typ(raw[key])
-        except (TypeError, ValueError):
-            problems.append(f"field {key!r} has invalid value {raw[key]!r}")
-            return None
+            n = int(v)
+            if n == v or not isinstance(v, float):
+                return n
+        except (TypeError, ValueError, OverflowError):
+            pass
+        problems.append(f"field {key!r} has invalid value {v!r}")
+        return None
 
-    m = need("m", int)
-    n = need("N", int)
-    trials = need("trials", int)
-    master_seed = need("master_seed", int)
+    m = whole("m")
+    n = whole("N")
+    trials = whole("trials")
+    master_seed = whole("master_seed")
+    sparsity = whole("sparsity", required=kind == "perturbation")
     if kind == "perturbation":
-        sparsity = need("sparsity", int)
         delta_grid = raw.get("delta_grid")
         if not isinstance(delta_grid, list) or not delta_grid:
             problems.append("field 'delta_grid' must be a non-empty list")
+        else:
+            try:
+                delta_grid = [float(d) for d in delta_grid]
+            except (TypeError, ValueError):
+                problems.append(f"field 'delta_grid' has invalid value {raw['delta_grid']!r}")
         if problems:
             raise InvalidInputError("; ".join(problems))
         return {
             "m": m, "N": n, "trials": trials, "master_seed": master_seed,
-            "sparsity": sparsity, "delta_grid": [float(d) for d in delta_grid],
+            "sparsity": sparsity, "delta_grid": delta_grid,
         }, raw
 
     family = raw.get("family")
@@ -174,7 +186,7 @@ def _load_experiment_config(path, kind):
             m=m, N=n, trials=trials, master_seed=master_seed,
             p_grid=tuple(float(p) for p in p_grid),
             support_tol=float(raw.get("support_tol", analysis.DEFAULT_SUPPORT_TOL)),
-            sparsity=raw.get("sparsity"),
+            sparsity=sparsity,
             epsilon_fraction=raw.get("epsilon_fraction"),
             eta_fraction=raw.get("eta_fraction"),
             lam=float(raw.get("lambda", 0.1)),

@@ -99,18 +99,18 @@ def gen_sparse_measured(spec: EnsembleSpec):
     return A, y, x0, support
 
 
-def _check_subset_count(n: int, k: int, cap: int) -> int:
+def _check_subset_count(n: int, k: int) -> int:
     count = 1
     for i in range(k):
         count = count * (n - i) // (i + 1)
-        if count > cap:
+        if count > SUBSET_CAP:
             raise CapacityError(
-                f"C({n},{k}) exceeds the exhaustive-subset cap of {cap}"
+                f"C({n},{k}) exceeds the exhaustive-subset cap of {SUBSET_CAP}"
             )
     return count
 
 
-def is_in_set_S(A, y, tol: float = 1e-12, cap: int = SUBSET_CAP) -> bool:
+def is_in_set_S(A, y, tol: float = 1e-12) -> bool:
     """Exhaustive check that (A, y) lies in the generic instance set.
 
     True iff y != 0 and every m x m column submatrix of A is invertible at
@@ -126,7 +126,7 @@ def is_in_set_S(A, y, tol: float = 1e-12, cap: int = SUBSET_CAP) -> bool:
         raise CapacityError(f"set-S check is exhaustive; N <= {SET_S_MAX_N} required")
     if n < m:
         raise InvalidInputError("set-S membership needs N >= m")
-    _check_subset_count(n, m, cap)
+    _check_subset_count(n, m)
     if not np.any(y):
         return False
     for cols in itertools.combinations(range(n), m):
@@ -137,7 +137,7 @@ def is_in_set_S(A, y, tol: float = 1e-12, cap: int = SUBSET_CAP) -> bool:
     return True
 
 
-def rip_constant(A, k: int, cap: int = SUBSET_CAP) -> float:
+def rip_constant(A, k: int) -> float:
     """Restricted isometry constant of order k, by subset enumeration.
 
     delta_k = max over k-subsets S of max(lmax(A_S^T A_S) - 1,
@@ -148,7 +148,7 @@ def rip_constant(A, k: int, cap: int = SUBSET_CAP) -> float:
     k = int(k)
     if not (1 <= k <= n):
         raise InvalidInputError(f"order k must satisfy 1 <= k <= {n}")
-    _check_subset_count(n, k, cap)
+    _check_subset_count(n, k)
     subsets = np.array(list(itertools.combinations(range(n), k)))
     delta = 0.0
     chunk = max(1, 4096 // max(k, 1))

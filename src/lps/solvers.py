@@ -32,11 +32,16 @@ SolveResult.kkt_residual with it, and the public kkt_residual runs it on a
 stack of one, so the two agree bit for bit.
 
 bp, rr and en run through one damped-Newton driver (_newton) over a stack
-of same-shape instances that share p and the parameters (solve_stack).
-Each of the six branches (bp dual and bp primal on null(A); rr residual
-and rr primal; en inverse-map and en primal) supplies its start point,
-stopping measure, Newton direction and merit; the driver keeps every
-per-instance state in arrays, and p alone picks the branch.  The bpdn
+of same-shape instances that share p and the parameters (solve_stack);
+p alone picks one of six branches (bp dual and bp primal on null(A); rr
+residual and rr primal; en inverse-map and en primal).  The base classes
+write the boilerplate once: _Stack the primal state map, start, trial
+step, fallback and row selection (take); _Bp and _Smooth the objective,
+stopping measure and result builder.  A branch writes its Newton
+direction, and the three fixed-point forms also their state map, start
+and, where it differs, stopping measure.  The driver keeps every
+per-instance state in arrays; a family stack builds its branch on all
+its rows, and the driver writes each row's result in place.  The bpdn
 forms run their Pareto-path root-find (_rr_path_root) over a stack in
 lockstep: each round solves the active instances' rr, each at its own
 lam, as one stack.  Every step works row by row, so an instance's result
@@ -282,28 +287,33 @@ def _full_rank(G):
 class _Stack:
     """Instances of one family that share p and its parameters, stacked on axis 0.
 
-    Family classes (_Bp, _Rr, _En) define what the first-order method
-    (_first_order) reads:
+    _newton and _first_order call:
 
-      objective(x)               -> the objective of every row at x
-      gradient_measure(st)       -> (max-norm of st["G"], scale) of the stopping test, with
-                                    st["G"] the gradient on the feasible set at st["x"]
-      results(st, rows, it, ok)  -> SolveResults of `rows`
-
-    Their branch subclasses add the Newton step that _newton drives:
-
-      start()                    -> state: dict of per-instance arrays, with "merit"
-      measure(st)                -> (residual, scale) of the stopping and stall tests:
-                                    gradient_measure, or the branch's own quantity
+      start()                    -> state: dict of per-instance arrays, with var and "merit"
+      measure(st)                -> (residual, scale) of the Newton stopping and stall tests
       direction(st)              -> (d, slope of the merit along d, failed rows or None)
-      trial(st, rows, step)      -> the state of `rows` moved by `step`
+      trial(st, rows, step)      -> the state of `rows` at st[var][rows] + step
       fallback(st, j, it)        -> SolveResult of row j from _first_order
+      objective(x, rows)         -> the objective of `rows` at x
+      gradient_measure(st)       -> (max-norm of st["G"], scale) of the first-order stopping
+                                    test, st["G"] the gradient on the feasible set at st["x"]
+      results(st, rows, it, ok)  -> SolveResults of `rows` from st["x"] (and st["nu"] for bp)
 
+    _Stack supplies start, trial, fallback and take, and the state map
+    _at(x, rows) of the primal branches: x and its objective as the merit,
+    started at self.x0.  The family classes _Bp and _Smooth supply
+    objective, gradient_measure (also their measure) and results.  A branch
+    writes its direction; the fixed-point forms (_BpDual in nu, _RrResidual
+    in w, _EnInverse in x) also write _at and start, and _BpDual and
+    _RrResidual their measure.
+
+    take rule: every ndarray attribute holds one entry per instance on axis
+    0, and take(rows) slices them all; what the rows share is not an array.
     Every method works row by row: a row's numbers never depend on the
     other rows, so a batch gives each instance the bits of its batch of one.
     """
 
-    stacked = ("A", "y")
+    var = "x"  # the state entry that the Newton step moves
     slack = 1e-14  # Armijo allowance, relative to |merit|
 
     def __init__(self, A, y, p, cfg):
@@ -315,15 +325,25 @@ class _Stack:
 
     def take(self, rows):
         new = copy.copy(self)
-        for name in self.stacked:
-            setattr(new, name, getattr(self, name)[rows])
+        for name, v in vars(self).items():
+            if isinstance(v, np.ndarray):
+                setattr(new, name, v[rows])
         return new
+
+    def _at(self, x, rows):
+        return {"x": x, "merit": self.objective(x, rows)}
+
+    def start(self):
+        return self._at(self.x0.copy(), slice(None))
+
+    def trial(self, st, rows, step):
+        return self._at(st[self.var][rows] + step, rows)
 
     def fallback(self, st, j, it):
         return _first_order(self.take([j]), st["x"][j], it)
 
 
-def _newton(br, out):
+def _newton(br, out, rows):
     """Damped Newton with Armijo backtracking on every instance of branch `br`.
 
     All per-instance state lives in arrays; instances leave the batch when
@@ -331,12 +351,12 @@ def _newton(br, out):
     _STALL_PATIENCE iterations), exhaust the budget, or fail a line search.
     A failed instance finishes alone in the first-order method at once: its
     state did not move, so another try would repeat the same direction.
-    Writes out[k] for instance k.
+    Writes out[rows[k]] for instance k.
     """
     cfg = br.cfg
     st = br.start()
     n = br.size
-    st.update(row=np.arange(n), best=np.full(n, np.inf), count=np.zeros(n, dtype=int))
+    st.update(row=rows, best=np.full(n, np.inf), count=np.zeros(n, dtype=int))
     for it in range(cfg.max_iter + 1):
         res, scale = br.measure(st)
         done = res <= cfg.kkt_tol * scale
@@ -449,16 +469,20 @@ def _keep(br, st, keep):
     return br.take(keep), {key: v[keep] for key, v in st.items()}
 
 
+def _descent(G, d):
+    """(d, slope, None), with -G in place of d where d is not a descent direction."""
+    slope = _dot(G, d)
+    flat = slope >= 0.0
+    if flat.any():
+        d[flat] = -G[flat]
+        slope[flat] = -_dot(G[flat], G[flat])
+    return d, slope, None
+
+
 def _run(br, out, rows):
-    """Solve the instances `rows` of br by the Newton driver; out[rows[j]] gets the j-th result."""
-    if not len(rows):
-        return
-    sub = [None] * len(rows)
-    if len(rows) < br.size:
-        br = br.take(rows)
-    _newton(br, sub)
-    for k, r in zip(rows, sub):
-        out[k] = r
+    """Solve the instances `rows` of br by the Newton driver, each into its own out[k]."""
+    if len(rows):
+        _newton(br.take(rows) if len(rows) < br.size else br, out, rows)
 
 
 def _branch(family, p):
@@ -473,23 +497,19 @@ def _branch(family, p):
 # ---------------------------------------------------------------------------
 
 class _Bp(_Stack):
-    stacked = ("A", "y", "G")
-
     def __init__(self, A, y, p, cfg):
         super().__init__(A, y, p, cfg)
         self.G = np.matmul(A, A.transpose(0, 2, 1))
 
-    def solution(self, rows, x, nu, iters, ok):
+    def results(self, st, rows, it, ok):
+        x, nu = st["x"][rows], st["nu"][rows]
         kkt = _kkt_bp(self.A[rows], self.y[rows], x, nu, self.p)
         obj = pnorm._pow_sum(x, self.p) ** (1.0 / self.p)
-        return [SolveResult(x[j], nu[j], float(obj[j]), float(kkt[j]), iters,
+        return [SolveResult(x[j], nu[j], float(obj[j]), float(kkt[j]), it,
                             CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
-    def results(self, st, rows, it, ok):
-        return self.solution(rows, st["x"][rows], st["nu"][rows], it, ok)
-
-    def objective(self, x):
-        """||x||_p^p, which has the minimizers of ||x||_p."""
+    def objective(self, x, rows=None):
+        """||x||_p^p, which has the minimizers of ||x||_p (the same map on every row)."""
         return pnorm._pow_sum(x, self.p)
 
     def gradient_measure(self, st):
@@ -502,10 +522,13 @@ class _Bp(_Stack):
 
     measure = gradient_measure
 
-    def first_order(self, j, x, it):
-        """Row j's SolveResult from _first_order, started at x projected onto A x = y."""
-        x = _project(self.A[j], _gram_cho(self.A[j]), self.y[j], x)
-        return _first_order(self.take([j]), x, it)
+    def fallback(self, st, j, it):
+        """Row j's SolveResult from _first_order, started at its x projected
+        onto A x = y; the dual branch starts from 0, whose projection is the
+        least-norm point."""
+        A, y = self.A[j], self.y[j]
+        x = st["x"][j] if self.var == "x" else np.zeros(A.shape[1])
+        return _first_order(self.take([j]), _project(A, _gram_cho(A), y, x), it)
 
 
 class _BpDual(_Bp):
@@ -513,7 +536,7 @@ class _BpDual(_Bp):
     -F(nu) = y - A h(A^T nu) and whose negative Hessian A diag(h'(A^T nu)) A^T
     is positive semi-definite."""
 
-    stacked = _Bp.stacked + ("ny",)
+    var = "nu"
 
     def __init__(self, A, y, p, cfg):
         super().__init__(A, y, p, cfg)
@@ -543,19 +566,7 @@ class _BpDual(_Bp):
         F = st["F"]
         gamma = pnorm._h_prime(st["s"], self.p)
         Q = np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1))
-        d = _solve(Q, -F)[0]
-        ascent = -_dot(F, d)
-        flat = ascent <= 0.0  # not an ascent direction: take the dual gradient
-        if flat.any():
-            d[flat] = -F[flat]
-            ascent[flat] = _dot(F[flat], F[flat])
-        return d, -ascent, None
-
-    def trial(self, st, rows, step):
-        return self._at(st["nu"][rows] + step, rows)
-
-    def fallback(self, st, j, it):
-        return self.first_order(j, np.zeros(self.A.shape[2]), it)  # from the least-norm point
+        return _descent(F, _solve(Q, -F)[0])  # descent on the merit: ascent on the dual
 
 
 class _BpPrimal(_Bp):
@@ -565,16 +576,11 @@ class _BpPrimal(_Bp):
     Z^T diag(g'(x)) Z, with a shift relative to max g'(x) when some g'(x_i)
     sits near zero."""
 
-    stacked = _Bp.stacked + ("Z",)
-
     def __init__(self, A, y, p, cfg):
         super().__init__(A, y, p, cfg)
         m = A.shape[1]
         self.Z = np.linalg.svd(A)[2][:, m:, :].transpose(0, 2, 1)
-
-    def start(self):
-        x = _least_norm(self.A, self.y)
-        return {"x": x, "merit": self.objective(x)}
+        self.x0 = _least_norm(A, y)
 
     def direction(self, st):
         grad, Z = st["grad"], self.Z
@@ -591,13 +597,6 @@ class _BpPrimal(_Bp):
             slope[flat] = _dot(grad[flat], dx[flat])
         return dx, slope, None
 
-    def trial(self, st, rows, step):
-        x = st["x"][rows] + step
-        return {"x": x, "merit": self.objective(x)}
-
-    def fallback(self, st, j, it):
-        return self.first_order(j, st["x"][j], it)
-
 
 def _bp_stack(A, y, p, cfg):
     """bp on a stack of finite instances: one entry per instance, a SolveResult or an exception."""
@@ -606,32 +605,25 @@ def _bp_stack(A, y, p, cfg):
     zero = ~np.any(y, axis=1)
     for k in np.flatnonzero(zero):
         out[k] = SolveResult(np.zeros(N), np.zeros(m), 0.0, 0.0, 0, CONVERGED)
-    rows = np.flatnonzero(~zero)
-    if not rows.size:
-        return out
-    sel = _all_or(rows, B)
     branch = _branch("bp", p)
-    br = branch(A[sel], y[sel], p, cfg)
+    br = branch(A, y, p, cfg)
     rank = _full_rank(br.G)
-    for j in np.flatnonzero(~rank):
-        x_ls = np.linalg.lstsq(A[rows[j]], y[rows[j]], rcond=None)[0]
-        if np.linalg.norm(A[rows[j]] @ x_ls - y[rows[j]]) > 1e-8 * (1.0 + np.linalg.norm(y[rows[j]])):
-            out[rows[j]] = SolveResult(x_ls, None, pnorm.pnorm(x_ls, p), np.inf, 0, INFEASIBLE)
+    for k in np.flatnonzero(~rank & ~zero):
+        x_ls = np.linalg.lstsq(A[k], y[k], rcond=None)[0]
+        if np.linalg.norm(A[k] @ x_ls - y[k]) > 1e-8 * (1.0 + np.linalg.norm(y[k])):
+            out[k] = SolveResult(x_ls, None, pnorm.pnorm(x_ls, p), np.inf, 0, INFEASIBLE)
         else:
-            out[rows[j]] = RankDeficientError(
-                "A is rank deficient; BP solver requires full row rank")
-    if branch is _BpPrimal and N == m and rank.any():
+            out[k] = RankDeficientError("A is rank deficient; BP solver requires full row rank")
+    rows = np.flatnonzero(rank & ~zero)
+    if branch is _BpPrimal and N == m and rows.size:
         # square invertible systems: the feasible point is the solution
-        sq = br.take(rank)
+        sq = br.take(rows)
         st = sq.start()
         sq.measure(st)
-        for k, r in zip(rows[rank], sq.results(st, np.arange(sq.size), 0, np.ones(sq.size, bool))):
+        for k, r in zip(rows, sq.results(st, np.arange(rows.size), 0, np.ones(rows.size, bool))):
             out[k] = r
-        return out
-    sub = [None] * int(rank.sum())
-    _run(br, sub, np.flatnonzero(rank))
-    for k, r in zip(rows[rank], sub):
-        out[k] = r
+    else:
+        _run(br, out, rows)
     return out
 
 
@@ -655,12 +647,6 @@ class _Smooth(_Stack):
     """rr and en: a smooth objective, its gradient and the family's KKT
     residual (kkt)."""
 
-    def solution(self, rows, x, iters, ok):
-        obj = self.objective(x, rows)
-        kkt = self.kkt(x, rows)
-        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), iters,
-                            CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
-
     def gradient_measure(self, st):
         st["G"] = self.gradient(st["x"])
         return _amax(st["G"]), self.scale
@@ -668,11 +654,14 @@ class _Smooth(_Stack):
     measure = gradient_measure
 
     def results(self, st, rows, it, ok):
-        return self.solution(rows, st["x"][rows], it, ok)
+        x = st["x"][rows]
+        obj = self.objective(x, rows)
+        kkt = self.kkt(x, rows)
+        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), it,
+                            CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
 
 class _Rr(_Smooth):
-    stacked = ("A", "y", "lam", "scale", "x0")
     lean = False
 
     def __init__(self, A, y, p, cfg, lam, warm):
@@ -694,10 +683,10 @@ class _Rr(_Smooth):
     def kkt(self, x, rows):
         return _kkt_rr(self.A[rows], self.y[rows], x, None, self.p, self.lam[rows])
 
-    def solution(self, rows, x, iters, ok):
+    def results(self, st, rows, it, ok):
         if self.lean:  # the bpdn path's inner solves read x and the iterations alone
-            return [(x[j], iters) for j in range(len(x))]
-        return super().solution(rows, x, iters, ok)
+            return [(x, it) for x in st["x"][rows]]
+        return super().results(st, rows, it, ok)
 
 
 class _RrResidual(_Rr):
@@ -705,6 +694,7 @@ class _RrResidual(_Rr):
     Newton in the residual w = y - A x; its Jacobian I + A diag(h'/lam) A^T
     is symmetric positive definite.  The merit is |G(w)|^2."""
 
+    var = "w"
     slack = 0.0
 
     def _at(self, w, rows):
@@ -725,40 +715,18 @@ class _RrResidual(_Rr):
         J = _add_diag(np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1)), 1.0)
         return _solve(J, -st["G"])[0], -st["merit"], None
 
-    def trial(self, st, rows, step):
-        return self._at(st["w"][rows] + step, rows)
-
 
 class _RrPrimal(_Rr):
     """p >= 2: Newton on the stationarity system, matrix A^T A + lam diag(g'(x))."""
-
-    stacked = _Rr.stacked + ("AtA",)
 
     def __init__(self, A, y, p, cfg, lam, warm):
         super().__init__(A, y, p, cfg, lam, warm)
         self.AtA = np.matmul(A.transpose(0, 2, 1), A)
 
-    def start(self):
-        return {"x": self.x0.copy(), "merit": self.objective(self.x0)}
-
     def direction(self, st):
         G = st["G"]
         d = _solve(_add_diag(self.AtA.copy(), self.lam * pnorm._g_prime(st["x"], self.p)), -G)[0]
         return _descent(G, d)
-
-    def trial(self, st, rows, step):
-        x = st["x"][rows] + step
-        return {"x": x, "merit": self.objective(x, rows)}
-
-
-def _descent(G, d):
-    """(d, slope), with -G in place of d where d is not a descent direction."""
-    slope = _dot(G, d)
-    flat = slope >= 0.0
-    if flat.any():
-        d[flat] = -G[flat]
-        slope[flat] = -_dot(G[flat], G[flat])
-    return d, slope, None
 
 
 def _rr_gradient(A, y, x, p, lam):
@@ -774,14 +742,7 @@ def _rr_stack(A, y, p, cfg, lam):
     zero = ~np.any(_tmv(A, y), axis=1)
     for k in np.flatnonzero(zero):
         out[k] = SolveResult(np.zeros(N), None, 0.5 * float(y[k] @ y[k]), 0.0, 0, CONVERGED)
-    rows = np.flatnonzero(~zero)
-    if rows.size:
-        sel = _all_or(rows, B)
-        br = _branch("rr", p)(A[sel], y[sel], p, cfg, lam[sel], None)
-        sub = [None] * rows.size
-        _run(br, sub, np.arange(rows.size))
-        for k, r in zip(rows, sub):
-            out[k] = r
+    _run(_branch("rr", p)(A, y, p, cfg, lam, None), out, np.flatnonzero(~zero))
     return out
 
 
@@ -807,7 +768,7 @@ def _rr_core(A, y, p, lam, cfg, warm):
     br.lean = True
     out = [None] * len(A)
     with np.errstate(all="ignore"):  # a budget too small can overflow x; the path checks x
-        _newton(br, out)
+        _newton(br, out, np.arange(len(A)))
     x, iterations = zip(*out)
     return np.array(x), np.array(iterations)
 
@@ -817,8 +778,6 @@ def _rr_core(A, y, p, lam, cfg, warm):
 # ---------------------------------------------------------------------------
 
 class _En(_Smooth):
-    stacked = ("A", "y", "AtA", "aty", "scale", "x0")
-
     def __init__(self, A, y, p, cfg, r, lam1, lam2):
         super().__init__(A, y, p, cfg)
         self.r, self.lam1, self.lam2 = r, lam1, lam2
@@ -866,9 +825,6 @@ class _EnInverse(_En):
         return {"x": x, "fpow": fpow, "npow": npow, "base": base, "w": w, "psi": psi,
                 "merit": np.sqrt(_dot(psi, psi))}
 
-    def start(self):
-        return self._at(self.x0.copy(), slice(None))
-
     def direction(self, st):
         p, r, x = self.p, self.r, st["x"]
         gamma = pnorm._h_prime(st["w"], p)
@@ -880,16 +836,10 @@ class _EnInverse(_En):
         d, failed = _solve(J, -st["psi"], shift=False)
         return d, -st["merit"], failed
 
-    def trial(self, st, rows, step):
-        return self._at(st["x"][rows] + step, rows)
-
 
 class _EnPrimal(_En):
     """p >= 2: Newton with the exact Hessian of ||x||_p^r,
     (r/p) ||x||_p^(r-p) [diag(g'(x)) + ((r-p) / (p ||x||_p^p)) g(x) g(x)^T]."""
-
-    def start(self):
-        return {"x": self.x0.copy(), "merit": self.objective(self.x0)}
 
     def direction(self, st):
         p, r, x, G = self.p, self.r, st["x"], st["G"]
@@ -904,10 +854,6 @@ class _EnPrimal(_En):
         d, slope, _ = _descent(G, _solve(J, -G)[0])
         return d, slope, zero
 
-    def trial(self, st, rows, step):
-        x = st["x"][rows] + step
-        return {"x": x, "merit": self.objective(x, rows)}
-
 
 def _en_stack(A, y, p, cfg, r, lam1, lam2):
     """en on a stack of finite instances; a row whose residual at x = 0 is 0 needs no solve."""
@@ -916,7 +862,7 @@ def _en_stack(A, y, p, cfg, r, lam1, lam2):
     zero = _kkt_en(A, y, np.zeros((B, N)), None, p, r, lam1, lam2) == 0.0
     br = _branch("en", p)(A, y, p, cfg, r, lam1, lam2)
     rows = np.flatnonzero(zero)
-    for k, res in zip(rows, br.solution(rows, np.zeros((rows.size, N)), 0, np.ones(rows.size, bool))):
+    for k, res in zip(rows, br.results({"x": np.zeros((B, N))}, rows, 0, np.ones(rows.size, bool))):
         out[k] = res
     _run(br, out, np.flatnonzero(~zero))
     return out

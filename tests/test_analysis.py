@@ -115,6 +115,15 @@ class TestGenericityExperiment:
         stats = analysis.run_genericity_experiment(cfg)
         assert stats.cells[0].full_support_fraction >= 0.99
 
+    @pytest.mark.parametrize("field,value", [
+        ("m", 3.0), ("N", 8.5), ("trials", 2.5), ("master_seed", 1.0), ("sparsity", 2.5),
+        ("master_seed", -1), ("master_seed", 2 ** 64)])
+    def test_rejects_bad_integer_fields(self, field, value):
+        fields = dict(family="bp", m=3, N=8, trials=2, master_seed=1, p_grid=(2.0,))
+        ExperimentConfig(**dict(fields, master_seed=2 ** 64 - 1, trials=np.int64(2), sparsity=2))
+        with pytest.raises(InvalidInputError, match=field):
+            ExperimentConfig(**dict(fields, **{field: value}))
+
     def test_validates_hypotheses(self):
         with pytest.raises(InvalidInputError):
             analysis.run_genericity_experiment(

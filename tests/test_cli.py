@@ -285,6 +285,45 @@ class TestExperimentCommand:
         assert lines[0] == "delta,trials,failures,recovered,recovery_fraction"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("grid", [["x"], [0.0, None]])
+    def test_perturbation_bad_delta_grid_exits_1(self, tmp_path, capsys, grid):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"m": 8, "N": 16, "sparsity": 2, "trials": 4,
+                                    "master_seed": 3, "delta_grid": grid}))
+        out = tmp_path / "p.csv"
+        rc = main(["experiment", "--kind", "perturbation", "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config: field 'delta_grid' has invalid value {grid!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("genericity", "m", 8.7), ("genericity", "N", 8.5), ("genericity", "trials", 2.9),
+        ("genericity", "master_seed", 7.5), ("genericity", "sparsity", 2.5),
+        ("perturbation", "trials", 2.9), ("perturbation", "sparsity", 2.5)])
+    def test_fractional_field_exits_1(self, tmp_path, capsys, kind, field, value):
+        cfg = {"m": 8, "N": 16, "sparsity": 2, "trials": 4, "master_seed": 3}
+        cfg.update({"family": "bp", "p_grid": [3.0]} if kind == "genericity" else {"delta_grid": [0.0]})
+        cfg[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.csv"
+        rc = main(["experiment", "--kind", kind, "--config", str(path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: config: field {field!r} has invalid value {value!r}\n"
+        assert not out.exists()
+
+    def test_whole_number_fields(self, tmp_path, capsys):
+        # a float with no fraction is a whole number; a negative seed is named
+        out = tmp_path / "o.csv"
+        cfgp = self.config(tmp_path, m=3.0, trials=2.0)
+        assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 + 2  # header, 2 trials, summary
+        out.unlink()
+        cfgp = self.config(tmp_path, master_seed=-1)
+        assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: config: master_seed must lie in [0, 2^64), got -1\n"
+        assert not out.exists()
+
     def test_bad_config_lists_fields(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"family": "bp", "m": 3}))

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -610,17 +611,61 @@ class TestSolveStack:
             assert kkt_residual(inst, b) == b.kkt_residual
             assert np.linalg.norm(b.x - a.x) <= 1e-6 * np.linalg.norm(a.x), k
 
-    def test_failing_instance_stays_apart(self):
+    def test_failing_instance_stays_apart(self, monkeypatch):
+        # faulty rows ahead of full-rank rows: the bp stack function runs once
+        # on the finite rows, with no retry row by row
+        calls = []
+        bp = lps.solvers.FAMILIES["bp"]
+
+        def spied(A, *args, **kwargs):
+            calls.append(len(A))
+            return bp.stack(A, *args, **kwargs)
+
+        monkeypatch.setitem(lps.solvers.FAMILIES, "bp", dataclasses.replace(bp, stack=spied))
         rng = np.random.default_rng(3)
         A, y = rng.normal(size=(6, 3, 7)), rng.normal(size=(6, 3))
         A[2, 2] = A[2, 0]  # rank deficient and feasible
         y[2] = A[2] @ rng.normal(size=7)
         A[4, 0, 0] = np.nan
         batch = solve_stack("bp", A, y, 1.5)
+        assert calls == [5]
         assert isinstance(batch[2], RankDeficientError)
         assert isinstance(batch[4], InvalidInputError)
         for k in (0, 1, 3, 5):
             self._assert_same(batch[k], solve_bp(A[k], y[k], 1.5))
+        A, y = rng.normal(size=(5, 3, 7)), rng.normal(size=(5, 3))
+        y[0] = 0.0
+        A[1, 2] = A[1, 0]  # rank deficient, and y[1] is not in its range
+        for p in (1.5, 3.0):
+            calls.clear()
+            batch = solve_stack("bp", A, y, p)
+            assert calls == [5]
+            assert batch[0].converged and not batch[0].x.any()
+            assert batch[1].status == "infeasible"
+            for k in (2, 3, 4):
+                self._assert_same(batch[k], solve_bp(A[k], y[k], p))
+
+    @pytest.mark.parametrize("family", ["bp", "rr", "en"])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_take_matches_branch_of_rows(self, family, p):
+        # take(rows) slices every array attribute, so each must hold one
+        # entry per instance: the same bits as the branch built on those rows
+        rng = np.random.default_rng(17)
+        A, y = rng.normal(size=(3, 4, 9)), rng.normal(size=(3, 4))
+        lam = np.array([0.1, 0.2, 0.3])
+        params = {"bp": lambda k: (), "rr": lambda k: (lam[k], None),
+                  "en": lambda k: (1.0, 0.1, 0.1)}[family]
+        branch = lps.solvers._branch(family, p)
+        whole = branch(A, y, p, SolverConfig(), *params(slice(None)))
+        for k in range(3):
+            part, alone = whole.take([k]), branch(A[[k]], y[[k]], p, SolverConfig(), *params([k]))
+            assert vars(part).keys() == vars(alone).keys()
+            for name, v in vars(alone).items():
+                if isinstance(v, np.ndarray):
+                    got = getattr(part, name)
+                    assert got.shape == v.shape and got.tobytes() == v.tobytes(), name
+                else:
+                    assert getattr(part, name) == v, name
 
     def test_no_repeated_line_search_failure(self, monkeypatch):
         # a failed line search moves nothing, so a second try from the same
