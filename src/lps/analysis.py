@@ -15,6 +15,7 @@ runs and worker counts.
 
 from __future__ import annotations
 
+import numbers
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -305,6 +306,10 @@ def _certified(inst: ProblemInstance, result: SolveResult, rep: SupportReport) -
     return bool(certify_nonzero(inst, result)[below].all())
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     family: str
@@ -324,23 +329,26 @@ class ExperimentConfig:
     signal_values: str = "pm_one"
 
     def __post_init__(self):
-        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         for name in ("m", "N", "trials", "master_seed", "sparsity"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) and not (name == "sparsity" and v is None):
+            if isinstance(v, bool) or not (
+                    isinstance(v, (int, np.integer)) or name == "sparsity" and v is None):
                 raise InvalidInputError(f"{name} must be an integer, got {v!r}")
+        if not (isinstance(self.p_grid, (tuple, list, np.ndarray)) and all(map(_real, self.p_grid))):
+            raise InvalidInputError(f"p_grid must hold numbers, got {self.p_grid!r}")
+        object.__setattr__(self, "p_grid", tuple(float(p) for p in self.p_grid))
         if not 0 <= self.master_seed < 2 ** 64:
             raise InvalidInputError(f"master_seed must lie in [0, 2^64), got {self.master_seed}")
         if self.trials < 1:
             raise InvalidInputError("trials must be >= 1")
         if self.m < 1 or self.N < 1:
             raise InvalidInputError("m and N must be positive")
-        if not (0.0 <= self.support_tol < 1.0):
-            raise InvalidInputError("support_tol must lie in [0, 1)")
+        if not (_real(self.support_tol) and 0.0 <= self.support_tol < 1.0):
+            raise InvalidInputError(f"support_tol must lie in [0, 1), got {self.support_tol!r}")
         for name in ("epsilon_fraction", "eta_fraction"):
             v = getattr(self, name)
-            if v is not None and not (0.0 < v < 1.0):
-                raise InvalidInputError(f"{name} must lie in (0, 1)")
+            if v is not None and not (_real(v) and 0.0 < v < 1.0):
+                raise InvalidInputError(f"{name} must lie in (0, 1), got {v!r}")
         if self.sparsity is not None and not (1 <= self.sparsity <= self.N):
             raise InvalidInputError("sparsity must satisfy 1 <= s <= N")
 
@@ -407,7 +415,7 @@ class ExperimentStats:
     trials: list
 
 
-def _aggregate(cfg: ExperimentConfig, records, recovery: bool) -> ExperimentStats:
+def _aggregate(cfg: ExperimentConfig, records) -> ExperimentStats:
     cells = []
     for p in cfg.p_grid:
         rows = [r for r in records if r.p == p]
@@ -425,18 +433,18 @@ def _aggregate(cfg: ExperimentConfig, records, recovery: bool) -> ExperimentStat
             kkt_residual_max=max((r.kkt_residual for r in ok), default=0.0),
             failures=len(rows) - len(ok),
         )
-        if recovery:
+        if cfg.family in RECOVERY_FAMILIES:
             cell.recovered_count = sum(bool(r.recovered) for r in ok)
             cell.support_le_m_count = sum(r.support_size <= cfg.m for r in ok)
         cells.append(cell)
     return ExperimentStats(cells=cells, trials=list(records))
 
 
-def _failure_record(cfg, p, trial, seed, elapsed_ms, exc) -> TrialRecord:
+def _failure_record(cfg, p, trial, seed, exc) -> TrialRecord:
     return TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
         support_size=0, min_rel_magnitude=0.0, kkt_residual=float("inf"),
-        iterations=0, status="error", wall_time_ms=elapsed_ms,
+        iterations=0, status="error", wall_time_ms=0.0,
         error=f"{type(exc).__name__}: {exc}",
     )
 
@@ -453,29 +461,31 @@ def _instance(cfg: ExperimentConfig, A, y, p: float) -> ProblemInstance:
     return ProblemInstance(A, y, cfg.family, p=p, **{k: getattr(cfg, k, None) for k in names})
 
 
-def _draw(cfg: ExperimentConfig, p: float, seed: int) -> ProblemInstance:
-    """One genericity trial's instance.
+def _draw(cfg: ExperimentConfig, p: float, seed: int):
+    """One trial's instance and planted signal (None for a Gaussian draw).
 
     A bpdn_eps trial's eps is a fraction of ||y||_2.  A bpdn_eta trial's eta
     needs its bp solution; _eta_targets sets it.
     """
     spec = _spec(cfg, seed)
-    if cfg.sparsity is not None:
-        A, y, _, _ = gen_sparse_measured(spec)
+    if cfg.sparsity is None:
+        (A, y), x0 = gen_gaussian_instance(spec), None
     else:
-        A, y = gen_gaussian_instance(spec)
+        A, y, x0, _ = gen_sparse_measured(spec)
     inst = _instance(cfg, A, y, p)
     if cfg.family == "bpdn_eps":
         inst.eps = (cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION) * float(np.linalg.norm(y))
-    return inst
+    return inst, x0
 
 
 def _solve_chunk(family, p, insts, solver_cfg):
-    """(entry of one solve_stack call, ms share) for each instance; an exception
-    in place of an instance passes through with no time.
+    """(SolveResult or the exception its solve raised, ms) for each instance; an
+    exception in place of an instance passes through with no time.
 
-    Each instance is charged an equal share of the call.  The parameters are
-    those the family table names, read from the instances: one value per
+    A family with no stack solver (bp_l1, rr_irls) is solved one instance at
+    a time, each charged its own time.  The others are solved in one
+    solve_stack call, each instance charged an equal share; the parameters
+    are those the family table names, read from the instances: one value per
     instance where solve_stack takes that (the bpdn bounds), else the first's.
     """
     out = [(inst, 0.0) for inst in insts]
@@ -483,6 +493,15 @@ def _solve_chunk(family, p, insts, solver_cfg):
     if not ok:
         return out
     fam = solvers.FAMILIES[family]
+    if fam.stack is None:
+        for k in ok:
+            start = time.perf_counter()
+            try:
+                res = solve_instance(insts[k], solver_cfg)
+            except Exception as exc:
+                res = exc
+            out[k] = (res, (time.perf_counter() - start) * 1e3)
+        return out
     params = {name: [getattr(insts[k], name) for k in ok] if fam.per_row
               else getattr(insts[ok[0]], name) for name in fam.params}
     start = time.perf_counter()
@@ -501,48 +520,50 @@ def _eta_targets(cfg: ExperimentConfig, p: float, drawn: list, solver_cfg: Solve
     instance.  Each trial's draw time gains an equal share of the bp solve.
     """
     out = []
-    for (trial, seed, inst, ms), (bp, share) in zip(
+    for (trial, seed, inst, x0, ms), (bp, share) in zip(
             drawn, _solve_chunk("bp", p, [d[2] for d in drawn], solver_cfg)):
-        if isinstance(bp, Exception):  # the bp solve's, or the draw's
-            out.append((trial, seed, bp, ms + share))
-            continue
-        inst.eta = (cfg.eta_fraction or DEFAULT_ETA_FRACTION) * pnorm.pnorm(bp.x, p)
-        out.append((trial, seed, inst, ms + share))
+        if not isinstance(bp, Exception):  # else the bp solve's exception, or the draw's
+            inst.eta = (cfg.eta_fraction or DEFAULT_ETA_FRACTION) * pnorm.pnorm(bp.x, p)
+            bp = inst
+        out.append((trial, seed, bp, x0, ms + share))
     return out
 
 
-def _genericity_record(cfg, p, trial, seed, inst, res) -> TrialRecord:
+def _record(cfg, p, trial, seed, inst, x0, res) -> TrialRecord:
+    """A solved trial's record: for a recovery family whether it recovered the
+    planted x0, else its certified support and any bpdn constraint."""
     rel = _relative(res.x)
     rep = _support(rel, cfg.support_tol)
     nonzero = rel[rel > 0.0]
-    target = constraint_value = multiplier_value = None
-    if cfg.family == "bpdn_eps":
-        target, constraint_value = inst.eps, float(np.linalg.norm(inst.A @ res.x - inst.y))
-    elif cfg.family == "bpdn_eta":
-        target, constraint_value = inst.eta, pnorm.pnorm(res.x, p)
-    if target is not None and res.multiplier is not None:
-        multiplier_value = float(res.multiplier)
-    return TrialRecord(
+    rec = TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
         support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
         kkt_residual=res.kkt_residual, iterations=res.iterations, status=res.status,
-        wall_time_ms=0.0,
-        full_support=rep.size == cfg.N,
-        full_support_certified=_certified(inst, res, rep),
+        wall_time_ms=0.0, full_support=rep.size == cfg.N,
         min_rel_nonzero=float(nonzero.min()) if nonzero.size else 0.0,
-        constraint_target=target, constraint_value=constraint_value,
-        multiplier_value=multiplier_value,
     )
+    if cfg.family in RECOVERY_FAMILIES:
+        rec.recovered = bool(np.abs(res.x - x0).max() <= RECOVERY_TOL)
+        return rec
+    rec.full_support_certified = _certified(inst, res, rep)
+    if cfg.family == "bpdn_eps":
+        rec.constraint_target = inst.eps
+        rec.constraint_value = float(np.linalg.norm(inst.A @ res.x - inst.y))
+    elif cfg.family == "bpdn_eta":
+        rec.constraint_target, rec.constraint_value = inst.eta, pnorm.pnorm(res.x, p)
+    if rec.constraint_target is not None and res.multiplier is not None:
+        rec.multiplier_value = float(res.multiplier)
+    return rec
 
 
-def _genericity_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
-    """Trials lo..hi-1 at p_grid[p_index]: draw each, solve them together, measure each.
+def _chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
+    """Trials lo..hi-1 at p_grid[p_index]: draw each, solve them, measure each.
 
     A trial whose draw, solve or measurement raises gets a status="error"
     record that keeps the exception; the other trials are unaffected.
-    wall_time_ms is a trial's own draw and measurement time plus its share
-    of the stacked solve (and, for bpdn_eta, of the bp solve that sets the
-    targets).
+    wall_time_ms is a trial's own draw and measurement time plus its solve
+    time as _solve_chunk charges it (and, for bpdn_eta, its share of the bp
+    solve that sets the targets).
     """
     p = cfg.p_grid[p_index]
     solver_cfg = SolverConfig()
@@ -551,58 +572,29 @@ def _genericity_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> 
         seed = derive_seed(cfg.master_seed, p_index, trial)
         start = time.perf_counter()
         try:
-            inst = _draw(cfg, p, seed)
+            inst, x0 = _draw(cfg, p, seed)
         except InvalidInputError:
             raise
         except Exception as exc:
-            inst = exc
-        drawn.append((trial, seed, inst, (time.perf_counter() - start) * 1e3))
+            inst, x0 = exc, None
+        drawn.append((trial, seed, inst, x0, (time.perf_counter() - start) * 1e3))
     if cfg.family == "bpdn_eta":
         drawn = _eta_targets(cfg, p, drawn, solver_cfg)
     solved = _solve_chunk(cfg.family, p, [d[2] for d in drawn], solver_cfg)
     records = []
-    for (trial, seed, inst, draw_ms), (res, solve_ms) in zip(drawn, solved):
+    for (trial, seed, inst, x0, draw_ms), (res, solve_ms) in zip(drawn, solved):
         start = time.perf_counter()
         try:
             if isinstance(res, Exception):
                 raise res
-            rec = _genericity_record(cfg, p, trial, seed, inst, res)
+            rec = _record(cfg, p, trial, seed, inst, x0, res)
         except InvalidInputError:
             raise
         except Exception as exc:
-            rec = _failure_record(cfg, p, trial, seed, 0.0, exc)
+            rec = _failure_record(cfg, p, trial, seed, exc)
         rec.wall_time_ms = draw_ms + solve_ms + (time.perf_counter() - start) * 1e3
         records.append(rec)
     return records
-
-
-def _recovery_trial(cfg: ExperimentConfig, p_index: int, trial: int) -> TrialRecord:
-    p = cfg.p_grid[p_index]
-    seed = derive_seed(cfg.master_seed, p_index, trial)
-    start = time.perf_counter()
-    try:
-        A, y, x0, _ = gen_sparse_measured(_spec(cfg, seed))
-        res = solve_instance(_instance(cfg, A, y, p), SolverConfig())
-    except InvalidInputError:
-        raise
-    except Exception as exc:
-        return _failure_record(cfg, p, trial, seed, (time.perf_counter() - start) * 1e3, exc)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-
-    rep = support(res.x, cfg.support_tol)
-    recovered = bool(np.abs(res.x - x0).max() <= RECOVERY_TOL)
-    return TrialRecord(
-        trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
-        support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
-        kkt_residual=res.kkt_residual, iterations=res.iterations, status=res.status,
-        wall_time_ms=elapsed_ms,
-        full_support=rep.size == cfg.N,
-        recovered=recovered,
-    )
-
-
-def _recovery_chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
-    return [_recovery_trial(cfg, p_index, trial) for trial in range(lo, hi)]
 
 
 _pool = None  # the process pool _run_trials reuses across calls
@@ -680,8 +672,7 @@ def run_genericity_experiment(cfg: ExperimentConfig, workers: int = 1) -> Experi
         raise InvalidInputError("bp genericity requires N >= 2m - 1")
     if cfg.N < cfg.m:
         raise InvalidInputError("experiments require N >= m")
-    records = _run_trials(_genericity_chunk, cfg, workers)
-    return _aggregate(cfg, records, recovery=False)
+    return _aggregate(cfg, _run_trials(_chunk, cfg, workers))
 
 
 def run_recovery_comparison(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
@@ -697,8 +688,7 @@ def run_recovery_comparison(cfg: ExperimentConfig, workers: int = 1) -> Experime
         raise InvalidInputError("recovery experiments need sparsity set")
     if cfg.family == "rr_irls" and any(not (0.0 < p < 1.0) for p in cfg.p_grid):
         raise InvalidInputError("rr_irls recovery requires 0 < p < 1 across the grid")
-    records = _run_trials(_recovery_chunk, cfg, workers)
-    return _aggregate(cfg, records, recovery=True)
+    return _aggregate(cfg, _run_trials(_chunk, cfg, workers))
 
 
 def perturbation_robustness(A, s: int, trials: int, delta_grid: Sequence[float],

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -95,12 +96,7 @@ def cmd_solve(args) -> int:
         "solution": res.x.tolist(),
         "multiplier": multiplier,
         "reduced_to_bp": res.reduced_to_bp,
-        "support": {
-            "indices": list(rep.indices),
-            "size": rep.size,
-            "min_rel_magnitude": rep.min_rel_magnitude,
-            "tol_used": rep.tol_used,
-        },
+        "support": asdict(rep),  # json writes the indices tuple as a list
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -127,77 +123,77 @@ _EXPERIMENT_KEYS = {
 }
 
 
+def _number(v):
+    """v as a float if it is a JSON number (true and false are not), else None."""
+    return float(v) if type(v) is float or type(v) is int and abs(v) <= sys.float_info.max else None
+
+
 def _load_experiment_config(path, kind):
+    """(ExperimentConfig, raw JSON) of a config file; a perturbation config
+    becomes a bp_l1 config at p = 1, its delta_grid left in raw."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise InvalidInputError("config must be a JSON object")
     problems = [f"unknown field {k!r}" for k in raw if k not in _EXPERIMENT_KEYS]
 
+    def invalid(key):
+        problems.append(f"field {key!r} has invalid value {raw[key]!r}")
+
     def whole(key, required=True):
-        """raw[key] as an int; a fraction is invalid, not truncated."""
-        if raw.get(key) is None and not required:
-            return None
-        if key not in raw:
-            problems.append(f"missing field {key!r}")
-            return None
-        v = raw[key]
-        try:
-            n = int(v)
-            if n == v or not isinstance(v, float):
-                return n
-        except (TypeError, ValueError, OverflowError):
-            pass
-        problems.append(f"field {key!r} has invalid value {v!r}")
+        """raw[key] as an int: a JSON number with no fraction (not truncated)."""
+        v = raw.get(key)
+        if v is None:  # null is absent
+            if required:
+                problems.append(f"missing field {key!r}")
+        elif type(v) is int or type(v) is float and v.is_integer():
+            return int(v)
+        else:
+            invalid(key)
         return None
 
-    m = whole("m")
-    n = whole("N")
-    trials = whole("trials")
-    master_seed = whole("master_seed")
-    sparsity = whole("sparsity", required=kind == "perturbation")
-    if kind == "perturbation":
-        delta_grid = raw.get("delta_grid")
-        if not isinstance(delta_grid, list) or not delta_grid:
-            problems.append("field 'delta_grid' must be a non-empty list")
-        else:
-            try:
-                delta_grid = [float(d) for d in delta_grid]
-            except (TypeError, ValueError):
-                problems.append(f"field 'delta_grid' has invalid value {raw['delta_grid']!r}")
-        if problems:
-            raise InvalidInputError("; ".join(problems))
-        return {
-            "m": m, "N": n, "trials": trials, "master_seed": master_seed,
-            "sparsity": sparsity, "delta_grid": delta_grid,
-        }, raw
+    def number(key, default=None):
+        """raw[key] as a float, or default when it is absent or null."""
+        if raw.get(key) is None:
+            return default
+        v = _number(raw[key])
+        if v is None:
+            invalid(key)
+        return v
 
-    family = raw.get("family")
-    if not isinstance(family, str) or family not in CLI_FAMILIES:
-        problems.append(f"field 'family' must be one of {CLI_FAMILIES}")
-    p_grid = raw.get("p_grid", list(analysis.DEFAULT_P_GRID))
-    if not isinstance(p_grid, list) or not p_grid:
-        problems.append("field 'p_grid' must be a non-empty list")
+    def grid(key, default=None):
+        """raw[key] as a non-empty list of floats, or default when absent or null."""
+        v = raw.get(key)
+        if v is None and default is not None:
+            return default
+        if not isinstance(v, list) or not v:
+            problems.append(f"field {key!r} must be a non-empty list")
+            return None
+        v = [_number(e) for e in v]
+        if None in v:
+            invalid(key)
+        return v
+
+    fields = dict(
+        m=whole("m"), N=whole("N"), trials=whole("trials"), master_seed=whole("master_seed"),
+        sparsity=whole("sparsity", required=kind == "perturbation"),
+        support_tol=number("support_tol", analysis.DEFAULT_SUPPORT_TOL),
+        epsilon_fraction=number("epsilon_fraction"), eta_fraction=number("eta_fraction"),
+        lam=number("lambda", 0.1), lam1=number("lambda1", 0.1), lam2=number("lambda2", 0.1),
+        r=number("r", 1.0), signal_values=str(raw.get("signal_values", "pm_one")),
+    )
+    if kind == "perturbation":
+        family, p_grid = "bp-l1", [1.0]
+        grid("delta_grid")
+    else:
+        family = raw.get("family")
+        if not isinstance(family, str) or family not in CLI_FAMILIES:
+            problems.append(f"field 'family' must be one of {CLI_FAMILIES}")
+        p_grid = grid("p_grid", list(analysis.DEFAULT_P_GRID))
     if problems:
         raise InvalidInputError("; ".join(problems))
-    try:
-        cfg = analysis.ExperimentConfig(
-            family=family.replace("-", "_"),
-            m=m, N=n, trials=trials, master_seed=master_seed,
-            p_grid=tuple(float(p) for p in p_grid),
-            support_tol=float(raw.get("support_tol", analysis.DEFAULT_SUPPORT_TOL)),
-            sparsity=sparsity,
-            epsilon_fraction=raw.get("epsilon_fraction"),
-            eta_fraction=raw.get("eta_fraction"),
-            lam=float(raw.get("lambda", 0.1)),
-            lam1=float(raw.get("lambda1", 0.1)),
-            lam2=float(raw.get("lambda2", 0.1)),
-            r=float(raw.get("r", 1.0)),
-            signal_values=str(raw.get("signal_values", "pm_one")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(str(exc))
-    return cfg, raw
+    return analysis.ExperimentConfig(family=family.replace("-", "_"), p_grid=tuple(p_grid),
+                                     **fields), raw
 
 
 def _summary_lines(stats) -> list:
@@ -246,11 +242,11 @@ def cmd_experiment(args) -> int:
         elif args.kind == "recovery":
             stats = analysis.run_recovery_comparison(cfg, workers=workers)
         else:
-            spec = ensembles.EnsembleSpec(m=cfg["m"], N=cfg["N"], seed=cfg["master_seed"])
+            spec = ensembles.EnsembleSpec(m=cfg.m, N=cfg.N, seed=cfg.master_seed)
             A, _ = ensembles.gen_gaussian_instance(spec)
             rows = analysis.perturbation_robustness(
-                A, s=cfg["sparsity"], trials=cfg["trials"],
-                delta_grid=cfg["delta_grid"], seed=cfg["master_seed"],
+                A, s=cfg.sparsity, trials=cfg.trials,
+                delta_grid=raw["delta_grid"], seed=cfg.master_seed,
             )
     except (LpsError, ValueError) as exc:
         return _fail(str(exc))
@@ -263,12 +259,10 @@ def cmd_experiment(args) -> int:
                 f"{row['delta']!r},{row['trials']},{row['failures']},"
                 f"{row['recovered']},{row['recovery_fraction']!r}"
             )
-        master_seed = cfg["master_seed"]
     else:
         lines.append(",".join(io_text.CSV_COLUMNS))
         lines.extend(io_text.trial_csv_row(rec) for rec in stats.trials)
         lines.extend(_summary_lines(stats))
-        master_seed = cfg.master_seed
 
     try:
         with open(args.out, "w") as fh:
@@ -276,7 +270,7 @@ def cmd_experiment(args) -> int:
     except OSError as exc:
         return _fail(str(exc))
     _write_manifest(args.out, f"experiment --kind {args.kind}",
-                    io_text.config_digest(raw), master_seed, started)
+                    io_text.config_digest(raw), cfg.master_seed, started)
     return EXIT_OK
 
 

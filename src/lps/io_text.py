@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import platform
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -122,34 +122,14 @@ class RunManifest:
     environment: dict = field(default_factory=_numeric_environment)
 
     def write(self, path) -> None:
-        doc = {
-            "command": self.command,
-            "config_digest": self.config_digest,
-            "master_seed": self.master_seed,
-            "tool_version": self.tool_version,
-            "started": self.started,
-            "finished": self.finished,
-            "environment": self.environment,
-        }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 
 def trial_csv_row(rec) -> str:
-    """One CSV data line for a TrialRecord, in the fixed column order."""
-    vals = (
-        str(rec.trial),
-        str(rec.seed),
-        str(rec.m),
-        str(rec.N),
-        _fmt(rec.p),
-        rec.family.replace("_", "-"),
-        str(rec.support_size),
-        _fmt(rec.min_rel_magnitude),
-        _fmt(rec.kkt_residual),
-        str(rec.iterations),
-        rec.status,
-        _fmt(rec.wall_time_ms),
-    )
-    return ",".join(vals)
+    """One CSV data line for a TrialRecord, in the CSV_COLUMNS order: floats by
+    repr, the family hyphenated."""
+    row = {c: getattr(rec, c) for c in CSV_COLUMNS}
+    row["family"] = row["family"].replace("_", "-")
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values())

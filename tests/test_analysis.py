@@ -117,7 +117,9 @@ class TestGenericityExperiment:
 
     @pytest.mark.parametrize("field,value", [
         ("m", 3.0), ("N", 8.5), ("trials", 2.5), ("master_seed", 1.0), ("sparsity", 2.5),
-        ("master_seed", -1), ("master_seed", 2 ** 64)])
+        ("master_seed", -1), ("master_seed", 2 ** 64), ("trials", True), ("sparsity", False),
+        ("p_grid", ("x",)), ("p_grid", (2.0, None)), ("p_grid", 2.0), ("support_tol", "x"),
+        ("support_tol", None), ("epsilon_fraction", "0.1"), ("eta_fraction", True)])
     def test_rejects_bad_integer_fields(self, field, value):
         fields = dict(family="bp", m=3, N=8, trials=2, master_seed=1, p_grid=(2.0,))
         ExperimentConfig(**dict(fields, master_seed=2 ** 64 - 1, trials=np.int64(2), sparsity=2))
@@ -231,6 +233,34 @@ class TestTrialFailures:
             else:
                 assert self._fields(rec) == self._fields(ref)
         assert stats.cells[0].failures == 1
+
+    @pytest.mark.parametrize("family,p", [("bp_l1", 1.0), ("rr_irls", 0.5)])
+    @pytest.mark.parametrize("stage", ["solve_instance", "_support"])
+    def test_recovery_failure_isolated(self, monkeypatch, family, p, stage):
+        # a recovery trial is solved alone; a fault in its solve or its
+        # measurement stays in that trial
+        cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(p,),
+                               sparsity=2)
+        clean = analysis.run_recovery_comparison(cfg)
+        inner = getattr(analysis, stage)
+        calls = []
+
+        def faulty(*args):
+            calls.append(args)
+            if len(calls) == 4:  # trial 3: one call per trial, in trial order
+                raise ZeroDivisionError("boom")
+            return inner(*args)
+
+        monkeypatch.setattr(analysis, stage, faulty)
+        stats = analysis.run_recovery_comparison(cfg)
+        assert len(calls) == cfg.trials
+        for rec, ref in zip(stats.trials, clean.trials):
+            if rec.trial == 3:
+                assert (rec.status, rec.error) == ("error", "ZeroDivisionError: boom")
+                assert rec.recovered is None
+            else:
+                assert self._fields(rec) == self._fields(ref)
+        assert stats.cells[0].failures == clean.cells[0].failures + 1
 
 
 class TestRecoveryComparison:

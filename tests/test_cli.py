@@ -299,7 +299,14 @@ class TestExperimentCommand:
     @pytest.mark.parametrize("kind,field,value", [
         ("genericity", "m", 8.7), ("genericity", "N", 8.5), ("genericity", "trials", 2.9),
         ("genericity", "master_seed", 7.5), ("genericity", "sparsity", 2.5),
-        ("perturbation", "trials", 2.9), ("perturbation", "sparsity", 2.5)])
+        ("perturbation", "trials", 2.9), ("perturbation", "sparsity", 2.5),
+        ("genericity", "p_grid", ["x"]), ("genericity", "p_grid", [3.0, True]),
+        ("genericity", "lambda", "x"), ("genericity", "lambda1", True),
+        ("genericity", "lambda2", [0.1]), ("genericity", "r", "1"),
+        ("genericity", "support_tol", "x"), ("genericity", "epsilon_fraction", "x"),
+        ("genericity", "eta_fraction", False), ("genericity", "trials", True),
+        ("genericity", "sparsity", True), ("perturbation", "trials", True),
+        ("perturbation", "master_seed", "3"), ("perturbation", "lambda", "x")])
     def test_fractional_field_exits_1(self, tmp_path, capsys, kind, field, value):
         cfg = {"m": 8, "N": 16, "sparsity": 2, "trials": 4, "master_seed": 3}
         cfg.update({"family": "bp", "p_grid": [3.0]} if kind == "genericity" else {"delta_grid": [0.0]})
@@ -321,6 +328,15 @@ class TestExperimentCommand:
         out.unlink()
         cfgp = self.config(tmp_path, master_seed=-1)
         assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: config: master_seed must lie in [0, 2^64), got -1\n"
+        assert not out.exists()
+        # null is an absent field; a perturbation config is checked like the others
+        cfgp = self.config(tmp_path, support_tol=None, sparsity=None, p_grid=None, trials=1)
+        assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 5 + 1 + 5  # default p grid: 5 cells
+        out.unlink()
+        cfgp = self.config(tmp_path, N=16, sparsity=2, master_seed=-1, delta_grid=[0.0])
+        assert main(["experiment", "--kind", "perturbation", "--config", cfgp, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: config: master_seed must lie in [0, 2^64), got -1\n"
         assert not out.exists()
 
