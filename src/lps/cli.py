@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__, analysis, ensembles, io_text
 from .errors import InvalidInputError, LpsError
-from .solvers import CONVERGED, FAMILIES, ProblemInstance, SolverConfig, solve_instance
+from .solvers import (CONVERGED, FAMILIES, ProblemInstance, SolverConfig, _BOUNDS, _valid,
+                      solve_instance)
 
 CLI_FAMILIES = tuple(f.replace("_", "-") for f in FAMILIES)
 
@@ -180,8 +181,10 @@ def _load_experiment_config(path, kind):
         support_tol=number("support_tol", analysis.DEFAULT_SUPPORT_TOL),
         epsilon_fraction=number("epsilon_fraction"), eta_fraction=number("eta_fraction"),
         lam=number("lambda", 0.1), lam1=number("lambda1", 0.1), lam2=number("lambda2", 0.1),
-        r=number("r", 1.0), signal_values=str(raw.get("signal_values", "pm_one")),
+        r=number("r", 1.0), signal_values=raw.get("signal_values", "pm_one"),
     )
+    if fields["signal_values"] not in ensembles.SIGNAL_VALUES:
+        invalid("signal_values")
     if kind == "perturbation":
         family, p_grid = "bp-l1", [1.0]
         grid("delta_grid")
@@ -190,6 +193,15 @@ def _load_experiment_config(path, kind):
         if not isinstance(family, str) or family not in CLI_FAMILIES:
             problems.append(f"field 'family' must be one of {CLI_FAMILIES}")
         p_grid = grid("p_grid", list(analysis.DEFAULT_P_GRID))
+    if not problems:  # p and the family's config parameters (not eps, eta) against its ranges
+        name = family.replace("-", "_")
+        checks = [("p_grid", "p", p) for p in p_grid if FAMILIES[name].p_range]
+        checks += [(_BOUNDS[k][0], k, fields[k]) for k in FAMILIES[name].params if k in fields]
+        for key, param, v in checks:
+            try:
+                _valid(name, param, v)
+            except LpsError as exc:
+                problems.append(f"field {key!r}: {exc}")
     if problems:
         raise InvalidInputError("; ".join(problems))
     return analysis.ExperimentConfig(family=family.replace("-", "_"), p_grid=tuple(p_grid),

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 SUBSET_CAP = 200_000
+SIGNAL_VALUES = ("pm_one", "gaussian")  # a planted signal's entries: +-1 or Gaussian
 SET_S_MAX_N = 25
 
 
@@ -40,14 +41,14 @@ class EnsembleSpec:
     N: int
     seed: int
     sparsity: Optional[int] = None
-    signal_values: str = "pm_one"  # or "gaussian"
+    signal_values: str = "pm_one"  # one of SIGNAL_VALUES
 
     def __post_init__(self):
         if self.m < 1 or self.N < 1:
             raise InvalidInputError("m and N must be positive")
         if self.sparsity is not None and not (1 <= self.sparsity <= self.N):
             raise InvalidInputError("sparsity must satisfy 1 <= s <= N")
-        if self.signal_values not in ("pm_one", "gaussian"):
+        if self.signal_values not in SIGNAL_VALUES:
             raise InvalidInputError(f"unsupported signal_values {self.signal_values!r}")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise InvalidInputError("seed must be a 64-bit unsigned integer")

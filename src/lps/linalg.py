@@ -1,9 +1,10 @@
-"""Dense linear-algebra kernels used by the solvers.
+"""Dense linear-algebra helpers, public and independent of the solvers.
 
 Everything here is dense and desk-scale (m, N up to a few hundred):
 minimum-norm solutions of underdetermined systems and projection onto
 affine sets {x : Ax = y}, both via a Cholesky factor of A A^T, and a
-pivot-based invertibility test.
+pivot-based invertibility test.  lps.solvers does not use them (it factors
+A^T = Q R instead); the tests use them as independent references.
 """
 
 from __future__ import annotations

@@ -49,6 +49,10 @@ does not depend on the other instances of its stack: solve_bp, solve_rr,
 solve_en and the solve_bpdn_* functions are stacks of one.  Validation
 happens at the public functions; the inner loops call unchecked pnorm
 kernels.
+
+One QR factorization A^T = Q R per row (_qr) answers all that bp, the
+bpdn forms and bp_l1 ask of A: its row rank, the least-norm point, the
+projection onto A x = y, bp's multiplier and null(A); none goes via A A^T.
 """
 
 from __future__ import annotations
@@ -167,18 +171,6 @@ def _validated(A, y):
     return A, y
 
 
-def _gram_cho(A):
-    """Cholesky factor of A A^T, or None when A lacks full row rank (_full_rank)."""
-    gram = A @ A.T
-    if not _full_rank(gram[None])[0]:
-        return None
-    return scipy.linalg.cho_factor(gram, check_finite=False)
-
-
-def _project(A, cho, y, x):
-    return x - A.T @ scipy.linalg.cho_solve(cho, A @ x - y, check_finite=False)
-
-
 def _solve_shifted(M, rhs, scale):
     """Solve M d = rhs for symmetric PSD M, escalating a diagonal shift on failure."""
     shift = 0.0
@@ -265,23 +257,26 @@ def _solve(M, rhs, shift=True):
     return d, failed
 
 
-def _full_rank(G):
-    """Per slice of a stack of Gram matrices A A^T: does A have full row rank?
+def _qr(A, mode="reduced"):
+    """(full, R^-1, Q) of A^T = Q R for every row of a stack, by one stacked
+    np.linalg.qr in `mode` (Q is None in mode "r").
 
-    The Cholesky factorization must succeed with its smallest pivot squared
-    above 1e-14 max |A A^T|.
+    full: full row rank, each |R_ii|^2 > 1e-14 max_i ||a_i||^2 (the Cholesky
+    pivot test, as A A^T = R^T R); R is taken as I elsewhere.  Q's first m
+    columns Q1 span range(A^T), its others null(A).  Hence (A A^T)^-1 y =
+    R^-1 R^-T y, x_ls = Q1 R^-T y, the projection x - Q1 Q1^T x + x_ls onto
+    A x = y and nu = R^-1 Q1^T g, rounded to u kappa(A), not u kappa(A)^2.
+    With m > N no row has full rank, and the factors are zeros.
     """
-    try:
-        L = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        L = np.zeros_like(G)
-        for k in range(len(G)):
-            try:
-                L[k] = np.linalg.cholesky(G[k])
-            except np.linalg.LinAlgError:
-                pass
-    pivot = np.abs(np.diagonal(L, axis1=-2, axis2=-1)).min(axis=-1)
-    return pivot * pivot > 1e-14 * np.maximum(np.abs(G).max(axis=(-2, -1)), 1e-300)
+    B, m, N = A.shape
+    if m > N:
+        return np.zeros(B, dtype=bool), np.zeros((B, m, m)), None if mode == "r" else np.zeros((B, N, m))
+    At = A.transpose(0, 2, 1)
+    Q, R = (None, np.linalg.qr(At, mode="r")) if mode == "r" else np.linalg.qr(At, mode=mode)
+    R = R[:, :m]
+    pivot = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).min(axis=-1)
+    full = pivot * pivot > 1e-14 * np.maximum(_dot(A, A).max(axis=-1), 1e-300)
+    return full, np.linalg.inv(np.where(full[:, None, None], R, np.eye(m))), Q
 
 
 class _Stack:
@@ -301,11 +296,12 @@ class _Stack:
 
     _Stack supplies start, trial, fallback and take, and the state map
     _at(x, rows) of the primal branches: x and its objective as the merit,
-    started at self.x0.  The family classes _Bp and _Smooth supply
-    objective, gradient_measure (also their measure) and results.  A branch
-    writes its direction; the fixed-point forms (_BpDual in nu, _RrResidual
-    in w, _EnInverse in x) also write _at and start, and _BpDual and
-    _RrResidual their measure.
+    started at self.x0.  The family classes _Bp and _Smooth supply objective
+    and results, and _Smooth and _BpPrimal gradient_measure (also their
+    measure).  A branch writes its direction; the fixed-point forms (_BpDual
+    in nu, _RrResidual in w, _EnInverse in x) also write _at and start,
+    _BpDual and _RrResidual their measure, and _BpDual its fallback, which
+    hands the row to _BpPrimal.
 
     take rule: every ndarray attribute holds one entry per instance on axis
     0, and take(rows) slices them all; what the rows share is not an array.
@@ -458,11 +454,6 @@ def _first_order(one, x0, iters_used):
     return one.results(st, [0], iters_used + _FIRST_ORDER_MAX_ITER, [False])[0]
 
 
-def _all_or(rows, n):
-    """rows (sorted, distinct) as an index: a slice when they are all n rows, so nothing is copied."""
-    return slice(None) if len(rows) == n else rows
-
-
 def _keep(br, st, keep):
     if keep.all():
         return br, st
@@ -497,9 +488,8 @@ def _branch(family, p):
 # ---------------------------------------------------------------------------
 
 class _Bp(_Stack):
-    def __init__(self, A, y, p, cfg):
-        super().__init__(A, y, p, cfg)
-        self.G = np.matmul(A, A.transpose(0, 2, 1))
+    """bp: each branch factors every row's A^T = Q R once (_qr) and keeps
+    its full-row-rank mask as full."""
 
     def results(self, st, rows, it, ok):
         x, nu = st["x"][rows], st["nu"][rows]
@@ -512,24 +502,6 @@ class _Bp(_Stack):
         """||x||_p^p, which has the minimizers of ||x||_p (the same map on every row)."""
         return pnorm._pow_sum(x, self.p)
 
-    def gradient_measure(self, st):
-        """The gradient projected onto null(A), g(x) - A^T nu with nu the
-        least-squares multiplier, against the scale max |g(x)|."""
-        grad = st["grad"] = pnorm._g(st["x"], self.p)
-        st["nu"] = _solve(self.G, _mv(self.A, grad))[0]
-        st["G"] = grad - _tmv(self.A, st["nu"])
-        return _amax(st["G"]), _amax(grad)
-
-    measure = gradient_measure
-
-    def fallback(self, st, j, it):
-        """Row j's SolveResult from _first_order, started at its x projected
-        onto A x = y; the dual branch starts from 0, whose projection is the
-        least-norm point."""
-        A, y = self.A[j], self.y[j]
-        x = st["x"][j] if self.var == "x" else np.zeros(A.shape[1])
-        return _first_order(self.take([j]), _project(A, _gram_cho(A), y, x), it)
-
 
 class _BpDual(_Bp):
     """1 < p <= 2: Newton ascent on the concave dual in nu, whose gradient is
@@ -540,6 +512,7 @@ class _BpDual(_Bp):
 
     def __init__(self, A, y, p, cfg):
         super().__init__(A, y, p, cfg)
+        self.full, self.Rinv, _ = _qr(A, "r")  # Q only in the rare fallback
         self.ny = np.sqrt(_dot(y, y))
 
     def _at(self, nu, rows):
@@ -552,7 +525,7 @@ class _BpDual(_Bp):
         # the p = 2 solution (kappa = 2) there, and nu scales as y^(p-1)
         # like the optimum when y is scaled
         p = self.p
-        v = _solve(self.G, self.y)[0]
+        v = _mv(self.Rinv, _tmv(self.Rinv, self.y))
         conj = (p - 1.0) * pnorm._pow_sum(_tmv(self.A, v) / p, p / (p - 1.0))
         kappa = (_dot(v, self.y) / (p / (p - 1.0) * conj)) ** (p - 1.0)
         return self._at(kappa[:, None] * v, slice(None))
@@ -568,6 +541,12 @@ class _BpDual(_Bp):
         Q = np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1))
         return _descent(F, _solve(Q, -F)[0])  # descent on the merit: ascent on the dual
 
+    def fallback(self, st, j, it):
+        """Row j's SolveResult from _first_order, started at the least-norm
+        point: row j's primal branch, which factors it in full, runs it."""
+        one = _BpPrimal(self.A[[j]], self.y[[j]], self.p, self.cfg)
+        return _first_order(one, one.x0[0], it)
+
 
 class _BpPrimal(_Bp):
     """p >= 2: feasible Newton on the primal KKT system, eliminated onto
@@ -579,23 +558,38 @@ class _BpPrimal(_Bp):
     def __init__(self, A, y, p, cfg):
         super().__init__(A, y, p, cfg)
         m = A.shape[1]
-        self.Z = np.linalg.svd(A)[2][:, m:, :].transpose(0, 2, 1)
-        self.x0 = _least_norm(A, y)
+        self.full, self.Rinv, Q = _qr(A, "complete")
+        # contiguous, so that matmul takes the same loop for a stack of one
+        # as for a stack, and a row's bits do not depend on its batch
+        self.Q1 = np.ascontiguousarray(Q[..., :m])
+        self.Z = np.ascontiguousarray(Q[..., m:])
+        self.x0 = _mv(self.Q1, _tmv(self.Rinv, y))  # the least-norm point
+
+    def gradient_measure(self, st):
+        """The gradient projected onto null(A), g(x) - Q1 Q1^T g(x) = g(x) - A^T nu
+        with nu = R^-1 Q1^T g(x) the least-squares multiplier, against the
+        scale max |g(x)|."""
+        grad = st["grad"] = pnorm._g(st["x"], self.p)
+        c = _tmv(self.Q1, grad)
+        st["nu"] = _mv(self.Rinv, c)
+        st["G"] = grad - _mv(self.Q1, c)
+        return _amax(st["G"]), _amax(grad)
+
+    measure = gradient_measure
+
+    def fallback(self, st, j, it):
+        """Row j's SolveResult from _first_order, started at its x projected onto A x = y."""
+        x, Q1 = st["x"][j], self.Q1[j]
+        return _first_order(self.take([j]), x - Q1 @ (Q1.T @ x) + self.x0[j], it)
 
     def direction(self, st):
-        grad, Z = st["grad"], self.Z
+        Z = self.Z
         lam = pnorm._g_prime(st["x"], self.p)
         floor = _TIKHONOV * lam.max(axis=-1)
         lam = np.where((lam.min(axis=-1) < floor)[:, None], lam + floor[:, None], lam)
         Zt = Z.transpose(0, 2, 1)
-        du = _solve(np.matmul(Zt * lam[:, None, :], Z), -_mv(Zt, grad))[0]
-        dx = _mv(Z, du)
-        slope = _dot(grad, dx)
-        flat = slope >= 0.0  # not a descent direction: take the projected gradient
-        if flat.any():
-            dx[flat] = -_mv(Z[flat], _mv(Zt[flat], grad[flat]))
-            slope[flat] = _dot(grad[flat], dx[flat])
-        return dx, slope, None
+        du = _solve(np.matmul(Zt * lam[:, None, :], Z), -_mv(Zt, st["grad"]))[0]
+        return _descent(st["G"], _mv(Z, du))  # the slope along null(A) is G^T dx
 
 
 def _bp_stack(A, y, p, cfg):
@@ -605,25 +599,14 @@ def _bp_stack(A, y, p, cfg):
     zero = ~np.any(y, axis=1)
     for k in np.flatnonzero(zero):
         out[k] = SolveResult(np.zeros(N), np.zeros(m), 0.0, 0.0, 0, CONVERGED)
-    branch = _branch("bp", p)
-    br = branch(A, y, p, cfg)
-    rank = _full_rank(br.G)
-    for k in np.flatnonzero(~rank & ~zero):
+    br = _branch("bp", p)(A, y, p, cfg)
+    for k in np.flatnonzero(~br.full & ~zero):
         x_ls = np.linalg.lstsq(A[k], y[k], rcond=None)[0]
         if np.linalg.norm(A[k] @ x_ls - y[k]) > 1e-8 * (1.0 + np.linalg.norm(y[k])):
             out[k] = SolveResult(x_ls, None, pnorm.pnorm(x_ls, p), np.inf, 0, INFEASIBLE)
         else:
             out[k] = RankDeficientError("A is rank deficient; BP solver requires full row rank")
-    rows = np.flatnonzero(rank & ~zero)
-    if branch is _BpPrimal and N == m and rows.size:
-        # square invertible systems: the feasible point is the solution
-        sq = br.take(rows)
-        st = sq.start()
-        sq.measure(st)
-        for k, r in zip(rows, sq.results(st, np.arange(rows.size), 0, np.ones(rows.size, bool))):
-            out[k] = r
-    else:
-        _run(br, out, rows)
+    _run(br, out, np.flatnonzero(br.full & ~zero))
     return out
 
 
@@ -936,7 +919,7 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
         out[k] = InvalidInputError("A or y contains non-finite entries")
     rows = np.flatnonzero(finite)
     try:
-        sel = _all_or(rows, len(A))
+        sel = slice(None) if len(rows) == len(A) else rows  # all rows: a slice copies nothing
         sub = fam.stack(A[sel], y[sel], cfg=cfg, **_rows_of(args, sel))
     except Exception as exc:  # keep one instance's fault out of the others' results
         if len(rows) == 1:
@@ -949,26 +932,27 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
     return out
 
 
-def _full_row_rank(family, A, out):
-    """Rows of A with full row rank; the others get the family's RankDeficientError in out."""
-    rank = _full_rank(np.matmul(A, A.transpose(0, 2, 1)))
-    for k in np.flatnonzero(~rank):
+def _full_row_rank(family, A, y, out):
+    """(rows of A with full row rank, x_ls = Q1 R^-T y of every row) by _qr; the
+    other rows get the family's RankDeficientError in out."""
+    full, Rinv, Q1 = _qr(A)
+    for k in np.flatnonzero(~full):
         out[k] = RankDeficientError(f"{family} requires A with full row rank")
-    return np.flatnonzero(rank)
+    return np.flatnonzero(full), _mv(Q1, _tmv(Rinv, y))
 
 
 def _bpdn_eps_stack(A, y, p, cfg, eps):
     B, m, N = A.shape
     out = [None] * B
     ny = np.sqrt(_dot(y, y))
-    rows = _full_row_rank("bpdn_eps", A, out)
+    rows, x_ls = _full_row_rank("bpdn_eps", A, y, out)
     slack = eps[rows] >= ny[rows]
     for k in rows[slack]:
         out[k] = SolveResult(np.zeros(N), 0.0, 0.0, 0.0, 0, CONVERGED)
     rows = rows[~slack]
     A, y, eps = A[rows], y[rows], eps[rows]
     x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, _PATH_MATCH_TOL * ny[rows],
-                                         1e-8 * ny[rows], _least_norm(A, y))
+                                         1e-8 * ny[rows], x_ls[rows])
     mu = 1.0 / (2.0 * lam)
     kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
     obj = pnorm._pow_sum(x, p) ** (1.0 / p)
@@ -977,11 +961,6 @@ def _bpdn_eps_stack(A, y, p, cfg, eps):
                               CONVERGED) if found[j] else
                   SolveResult(np.zeros(N), None, 0.0, np.inf, 0, DEGENERATE))
     return out
-
-
-def _least_norm(A, y):
-    """x_ls = A^T (A A^T)^-1 y, the least-norm solution of A x = y, of every row of a stack."""
-    return _tmv(A, _solve(np.matmul(A, A.transpose(0, 2, 1)), y)[0])
 
 
 def _bp_of(A, y, p, cfg, rows):
@@ -994,13 +973,11 @@ def _bp_of(A, y, p, cfg, rows):
 def _bpdn_eta_stack(A, y, p, cfg, eta):
     B, m, N = A.shape
     out = [None] * B
-    rows = _full_row_rank("bpdn_eta", A, out)
+    rows, x_ls = _full_row_rank("bpdn_eta", A, y, out)
     # every x with A x = y has ||x||_p >= ||x_ls||_2^2 / ||x_ls||_q (Hoelder
     # against the least-norm solution x_ls), so below that bound the
     # constraint is active and bp is not needed; the factor is a rounding
     # allowance
-    x_ls = np.zeros((B, N))
-    x_ls[rows] = _least_norm(A[rows], y[rows])
     q = p / (p - 1.0)
     above = (eta[rows] * pnorm._pow_sum(x_ls[rows], q) ** (1.0 / q)
              >= (1.0 - 1e-10) * _dot(x_ls[rows], x_ls[rows]))
@@ -1207,21 +1184,25 @@ def solve_bp_l1(A, y, cfg: SolverConfig | None = None) -> SolveResult:
     cfg.validate()
     A, y = _validated(A, y)
     _checked("bp_l1", {})
-    cho = _gram_cho(A)
-    if cho is None:
+    full, Rinv, Q1 = (f[0] for f in _qr(A[None]))
+    if not full:
         raise RankDeficientError("bp_l1 requires A with full row rank")
     n = A.shape[1]
     if not np.any(y):
         return SolveResult(np.zeros(n), np.zeros(A.shape[0]), 0.0, 0.0, 0, CONVERGED)
 
+    x_ls = Q1 @ (Rinv.T @ y)
+
+    def project(v):  # onto A x = y
+        return v - Q1 @ (Q1.T @ v) + x_ls
+
     rho = _L1_RHO
-    x = A.T @ scipy.linalg.cho_solve(cho, y, check_finite=False)
-    z = x.copy()
+    z = x_ls
     u = np.zeros(n)
     status = MAX_ITER
     it = 0
     for it in range(_L1_MAX_ITER):
-        x = _project(A, cho, y, z - u)
+        x = project(z - u)
         z_old = z
         v = x + u
         z = np.sign(v) * np.maximum(np.abs(v) - 1.0 / rho, 0.0)
@@ -1231,8 +1212,8 @@ def solve_bp_l1(A, y, cfg: SolverConfig | None = None) -> SolveResult:
         if r_dual <= _L1_DUAL_TOL and r_primal <= _L1_DUAL_TOL * (1.0 + float(np.abs(x).max())):
             status = CONVERGED
             break
-    x_out = _project(A, cho, y, z)
-    nu = rho * scipy.linalg.cho_solve(cho, A @ u, check_finite=False)
+    x_out = project(z)
+    nu = rho * (Rinv @ (Q1.T @ u))
     kkt = float(_kkt_bp_l1(A[None], y[None], x_out[None], nu[None])[0])
     return SolveResult(
         x=x_out, multiplier=nu, objective=float(np.abs(x_out).sum()),
@@ -1390,41 +1371,45 @@ _BOUNDS = {"lam": ("lambda", ">", 0.0), "lam1": ("lambda1", ">", 0.0),
 def _checked(family, values, B=None):
     """(FAMILIES[family], {"p": p, param: value}) from `values`, validated.
 
-    p and each parameter of the family must be numbers in their ranges.
-    For a stack of B instances a per_row family's parameters may hold one
-    value per instance, and they come back as arrays of length B.
+    p and each parameter of the family must be numbers in their ranges
+    (_valid).  For a stack of B instances a per_row family's parameters may
+    hold one value per instance, and they come back as arrays of length B.
     """
     fam = FAMILIES.get(family)
     if fam is None:
         raise InvalidInputError(f"unknown family {family!r}")
-    args = {}
-    if fam.p_range:
+    names = ("p",) * bool(fam.p_range) + fam.params
+    return fam, {name: _valid(family, name, values.get(name), B) for name in names}
+
+
+def _valid(family, name, v, B=None):
+    """v as p or as the parameter `name` of `family`, checked against its
+    range: a float, or an array of length B for a per_row family's parameter
+    on a stack of B instances."""
+    fam = FAMILIES[family]
+    if name == "p":
         lo, hi = fam.p_range
         try:
-            p = float(values.get("p"))
+            p = float(v)
         except (TypeError, ValueError):
             p = np.nan  # no p, or not a number: fails the range test
         if not lo < p < hi:
-            raise UnsupportedExponentError(f"{family} requires p in ({lo:g}, {hi:g}), "
-                                           f"got p={values.get('p')!r}")
-        args["p"] = p
+            raise UnsupportedExponentError(f"{family} requires p in ({lo:g}, {hi:g}), got p={v!r}")
+        return p
     per_row = fam.per_row and B is not None
-    for name in fam.params:
-        label, op, bound = _BOUNDS[name]
-        rule = f"{family} requires {label} {op} {bound:g}"
-        v = values.get(name)
-        if v is None:
-            raise InvalidInputError(rule)
-        try:
-            v = np.broadcast_to(np.asarray(v, dtype=float), (B,)) if per_row else float(v)
-        except (TypeError, ValueError):
-            raise InvalidInputError(f"{rule}{' per instance' if per_row else ''}, got {v!r}") from None
-        a = np.asarray(v)
-        ok = a >= bound if op == ">=" else a > bound
-        if not ok.all():
-            raise InvalidInputError(f"{rule}, got {float(a[~ok][0])}")
-        args[name] = v
-    return fam, args
+    label, op, bound = _BOUNDS[name]
+    rule = f"{family} requires {label} {op} {bound:g}"
+    if v is None:
+        raise InvalidInputError(rule)
+    try:
+        v = np.broadcast_to(np.asarray(v, dtype=float), (B,)) if per_row else float(v)
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{rule}{' per instance' if per_row else ''}, got {v!r}") from None
+    a = np.asarray(v)
+    ok = a >= bound if op == ">=" else a > bound
+    if not ok.all():
+        raise InvalidInputError(f"{rule}, got {float(a[~ok][0])}")
+    return v
 
 
 def solve_instance(inst: ProblemInstance, cfg: SolverConfig | None = None) -> SolveResult:

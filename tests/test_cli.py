@@ -319,6 +319,18 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == f"error: config: field {field!r} has invalid value {value!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides,problem", [
+        ({"signal_values": 5}, "field 'signal_values' has invalid value 5"),
+        ({"family": "rr", "lambda": -1}, "field 'lambda': rr requires lambda > 0, got -1.0"),
+        ({"p_grid": [0.5]}, "field 'p_grid': bp requires p in (1, inf), got p=0.5")])
+    def test_family_rules_checked_with_the_config(self, tmp_path, capsys, overrides, problem):
+        # the family's ranges are checked when the config is read, not when a trial runs
+        out = tmp_path / "o.csv"
+        cfgp = self.config(tmp_path, **overrides)
+        assert main(["experiment", "--kind", "genericity", "--config", cfgp, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config: {problem}\n"
+        assert not out.exists()
+
     def test_whole_number_fields(self, tmp_path, capsys):
         # a float with no fraction is a whole number; a negative seed is named
         out = tmp_path / "o.csv"

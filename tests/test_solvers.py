@@ -143,6 +143,77 @@ class TestSolveBP:
         with pytest.raises(InvalidInputError):
             solve_bp(np.eye(2), [1.0, 1.0], 0.5)
 
+    @pytest.mark.parametrize("p", [1.5, 3.0, 8.0])
+    def test_square_systems(self, p):
+        # A x = y has one solution; for p >= 2 the first measure already stops
+        # every row at the least-norm start, while the dual branch iterates to
+        # its own test, ||A x - y|| <= kkt_tol ||y||
+        rng = np.random.default_rng(6)
+        A, y = rng.standard_normal((16, 6, 6)), rng.standard_normal((16, 6))
+        x = np.linalg.solve(A, y[..., None])[..., 0]
+        for k, res in enumerate(solve_stack("bp", A, y, p)):
+            assert res.converged, k
+            if p >= 2.0:
+                assert res.iterations == 0, k
+                assert np.linalg.norm(res.x - x[k]) <= 1e-12 * np.linalg.norm(x[k]), k
+            else:
+                assert np.linalg.norm(A[k] @ res.x - y[k]) <= 1e-10 * np.linalg.norm(y[k]), k
+
+    @pytest.mark.parametrize("spread", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 8.0])
+    def test_column_scaled(self, p, spread):
+        # columns of A scaled by 10^U(-spread, spread): through A A^T the
+        # multiplier and the least-norm start carry u kappa(A)^2 of rounding,
+        # which stalls p >= 2 short of kkt_tol; the QR factor of A^T carries
+        # u kappa(A)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((48, 8, 20)) * 10.0 ** rng.uniform(-spread, spread, (48, 1, 20))
+        y = rng.standard_normal((48, 8))
+        for k, res in enumerate(solve_stack("bp", A, y, p)):
+            assert res.converged, k
+            if p >= 2.0:
+                assert np.abs(A[k] @ res.x - y[k]).max() <= 1e-12 * np.linalg.norm(y[k]), k
+
+
+class TestRowFactor:
+    """lps.solvers._qr, the one factorization of A^T behind bp, bpdn and bp_l1."""
+
+    def test_least_norm_and_projection_match_linalg(self):
+        rng = np.random.default_rng(9)
+        A, y = rng.standard_normal((20, 5, 12)), rng.standard_normal((20, 5))
+        x = rng.standard_normal((20, 12))
+        full, Rinv, Q = lps.solvers._qr(A, "complete")
+        assert full.all()
+        for k in range(20):
+            Q1 = Q[k, :, :5]
+            x_ls = Q1 @ (Rinv[k].T @ y[k])
+            ref = linalg.least_norm_solution(A[k], y[k])
+            assert np.linalg.norm(x_ls - ref) <= 1e-12 * np.linalg.norm(ref)
+            proj = x[k] - Q1 @ (Q1.T @ x[k]) + x_ls
+            ref = linalg.affine_project(A[k], y[k], x[k])
+            assert np.linalg.norm(proj - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.abs(A[k] @ Q[k, :, 5:]).max() <= 1e-12 * np.abs(A[k]).max()
+        # the branches and the bpdn stacks read the same points
+        bp = lps.solvers._branch("bp", 3.0)(A, y, 3.0, SolverConfig())
+        rows, x_ls = lps.solvers._full_row_rank("bpdn_eps", A, y, [None] * 20)
+        for k in range(20):
+            ref = linalg.least_norm_solution(A[k], y[k])
+            assert np.linalg.norm(bp.x0[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert np.linalg.norm(x_ls[k] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert rows.tolist() == list(range(20))
+
+    def test_full_row_rank_mask(self):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((4, 3, 7))
+        A[1, 2] = 2.0 * A[1, 0] - A[1, 1]  # dependent rows
+        A[2, 1] = A[2, 0] * (1.0 + 1e-9)  # nearly so: |R_22|^2 ~ 1e-18 max ||a_i||^2
+        for mode in ("r", "reduced", "complete"):
+            full, Rinv, _ = lps.solvers._qr(A, mode)
+            assert full.tolist() == [True, False, False, True]
+            assert np.isfinite(Rinv).all()
+        full, _, Q = lps.solvers._qr(rng.standard_normal((2, 4, 3)), "complete")  # m > N
+        assert not full.any() and Q.shape == (2, 3, 4)
+
 
 class TestSolveRR:
     def test_zero_rhs(self):
