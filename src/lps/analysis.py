@@ -51,6 +51,7 @@ __all__ = [
     "certified_full_support",
     "run_genericity_experiment",
     "run_recovery_comparison",
+    "check_experiment",
     "perturbation_robustness",
     "check_dual_jacobian_spd",
     "GENERICITY_FAMILIES",
@@ -657,21 +658,30 @@ def _run_trials(chunk_fn, cfg: ExperimentConfig, workers: int):
             raise
 
 
-def run_genericity_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
-    """Solve `trials` Gaussian (or sparse-measured) instances per p and aggregate.
+def check_experiment(cfg: ExperimentConfig, kind: str) -> None:
+    """Raise InvalidInputError naming each field of cfg that breaks a rule of a
+    `kind` ("genericity" or "recovery") experiment."""
+    families = GENERICITY_FAMILIES if kind == "genericity" else RECOVERY_FAMILIES
+    if cfg.family not in families:
+        raise InvalidInputError(f"field 'family': unknown {kind} family {cfg.family!r}")
+    bp = kind == "genericity" and cfg.family == "bp"
+    rules = [("p_grid", kind == "genericity" and any(p <= 1.0 for p in cfg.p_grid),
+              "genericity experiments require p > 1 across the grid"),
+             ("sparsity", kind == "recovery" and cfg.sparsity is None,
+              "recovery experiments need sparsity set"),
+             ("p_grid", cfg.family == "rr_irls" and any(not 0.0 < p < 1.0 for p in cfg.p_grid),
+              "rr_irls recovery requires 0 < p < 1 across the grid"),
+             ("N", cfg.N < (2 * cfg.m - 1 if bp else cfg.m),
+              "bp genericity requires N >= 2m - 1" if bp else "experiments require N >= m")]
+    problems = [f"field {key!r}: {message}" for key, broken, message in rules if broken]
+    if problems:
+        raise InvalidInputError("; ".join(problems))
 
-    Requires p > 1 throughout the grid and, for the bp family, N >= 2m - 1;
-    the other families need N >= m.  Solver failures are recorded in the
-    failures count and never abort the run.
-    """
-    if cfg.family not in GENERICITY_FAMILIES:
-        raise InvalidInputError(f"unknown genericity family {cfg.family!r}")
-    if any(p <= 1.0 for p in cfg.p_grid):
-        raise InvalidInputError("genericity experiments require p > 1 across the grid")
-    if cfg.family == "bp" and cfg.N < 2 * cfg.m - 1:
-        raise InvalidInputError("bp genericity requires N >= 2m - 1")
-    if cfg.N < cfg.m:
-        raise InvalidInputError("experiments require N >= m")
+
+def run_genericity_experiment(cfg: ExperimentConfig, workers: int = 1) -> ExperimentStats:
+    """Solve `trials` Gaussian (or sparse-measured) instances per p and aggregate
+    (cfg must pass check_experiment); solver failures never abort the run."""
+    check_experiment(cfg, "genericity")
     return _aggregate(cfg, _run_trials(_chunk, cfg, workers))
 
 
@@ -680,14 +690,9 @@ def run_recovery_comparison(cfg: ExperimentConfig, workers: int = 1) -> Experime
 
     For bp_l1, counts exact recoveries (max-norm error <= 1e-6) of the
     planted s-sparse signal; for rr_irls, the aggregate also counts trials
-    whose support stays within m.
+    whose support stays within m.  The config must pass check_experiment.
     """
-    if cfg.family not in RECOVERY_FAMILIES:
-        raise InvalidInputError(f"unknown recovery family {cfg.family!r}")
-    if cfg.sparsity is None:
-        raise InvalidInputError("recovery experiments need sparsity set")
-    if cfg.family == "rr_irls" and any(not (0.0 < p < 1.0) for p in cfg.p_grid):
-        raise InvalidInputError("rr_irls recovery requires 0 < p < 1 across the grid")
+    check_experiment(cfg, "recovery")
     return _aggregate(cfg, _run_trials(_chunk, cfg, workers))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -125,8 +126,10 @@ _EXPERIMENT_KEYS = {
 
 
 def _number(v):
-    """v as a float if it is a JSON number (true and false are not), else None."""
-    return float(v) if type(v) is float or type(v) is int and abs(v) <= sys.float_info.max else None
+    """v as a float if it is a finite JSON number (true, false, NaN and
+    Infinity are not), else None."""
+    ok = type(v) is float and math.isfinite(v) or type(v) is int and abs(v) <= sys.float_info.max
+    return float(v) if ok else None
 
 
 def _load_experiment_config(path, kind):
@@ -204,8 +207,10 @@ def _load_experiment_config(path, kind):
                 problems.append(f"field {key!r}: {exc}")
     if problems:
         raise InvalidInputError("; ".join(problems))
-    return analysis.ExperimentConfig(family=family.replace("-", "_"), p_grid=tuple(p_grid),
-                                     **fields), raw
+    cfg = analysis.ExperimentConfig(family=family.replace("-", "_"), p_grid=tuple(p_grid), **fields)
+    if kind != "perturbation":
+        analysis.check_experiment(cfg, kind)
+    return cfg, raw
 
 
 def _summary_lines(stats) -> list:

@@ -33,22 +33,22 @@ stack of one, so the two agree bit for bit.
 
 bp, rr and en run through one damped-Newton driver (_newton) over a stack
 of same-shape instances that share p and the parameters (solve_stack);
-p alone picks one of six branches (bp dual and bp primal on null(A); rr
-residual and rr primal; en inverse-map and en primal).  The base classes
-write the boilerplate once: _Stack the primal state map, start, trial
-step, fallback and row selection (take); _Bp and _Smooth the objective,
-stopping measure and result builder.  A branch writes its Newton
-direction, and the three fixed-point forms also their state map, start
-and, where it differs, stopping measure.  The driver keeps every
-per-instance state in arrays; a family stack builds its branch on all
-its rows, and the driver writes each row's result in place.  The bpdn
-forms run their Pareto-path root-find (_rr_path_root) over a stack in
-lockstep: each round solves the active instances' rr, each at its own
-lam, as one stack.  Every step works row by row, so an instance's result
-does not depend on the other instances of its stack: solve_bp, solve_rr,
-solve_en and the solve_bpdn_* functions are stacks of one.  Validation
-happens at the public functions; the inner loops call unchecked pnorm
-kernels.
+p alone picks one of four branches (bp dual and bp primal on null(A); rr
+residual and rr primal; rr is en at r = p, lam2 = 0, and below p = 2 en
+is rr on augmented data).  The base classes write the boilerplate once:
+_Stack the primal state map, start, trial step, fallback and row
+selection (take); _Bp and _Rr the objective, stopping measure and result
+builder.  A branch writes its Newton direction, and
+the two fixed-point forms also their state map, start and stopping
+measure.  The driver keeps every per-instance state in arrays; a family
+stack builds its branch on all its rows, and the driver writes each row's
+result in place.  The bpdn forms and en below p = 2 find a root in lam on
+rr's solution path (_rr_path_root) over a stack in lockstep: each round
+solves the active instances' rr, each at its own lam, as one stack.
+Every step works row by row, so an instance's result does not depend on
+the other instances of its stack: solve_bp, solve_rr, solve_en and the
+solve_bpdn_* functions are stacks of one.  Validation happens at the
+public functions; the inner loops call unchecked pnorm kernels.
 
 One QR factorization A^T = Q R per row (_qr) answers all that bp, the
 bpdn forms and bp_l1 ask of A: its row rank, the least-norm point, the
@@ -185,7 +185,7 @@ def _solve_shifted(M, rhs, scale):
 
 
 # ---------------------------------------------------------------------------
-# batched damped Newton: one driver, six branch steps
+# batched damped Newton: one driver, four branch steps
 # ---------------------------------------------------------------------------
 
 _STALL_PATIENCE = 8  # iterations in a row without a _STALL_GAIN gain on the best residual
@@ -223,26 +223,24 @@ def _add_diag(J, v):
     return J
 
 
-def _solve(M, rhs, shift=True):
-    """Solve M[k] d[k] = rhs[k] for every slice of a stack; returns (d, failed).
+def _solve(M, rhs):
+    """Solve M[k] d[k] = rhs[k] for every slice of a stack of symmetric systems.
 
     Small systems are solved as one stack by LU.  When a slice is singular
     each slice is solved alone, so a slice's answer never depends on the
-    others; a singular one is retried by _solve_shifted (symmetric PSD
-    systems, `shift`) or marked failed.  Symmetric PSD systems of order
+    others; a singular one is retried by _solve_shifted.  Systems of order
     _CHOLESKY_MIN or more go to _solve_shifted slice by slice: there a
     Cholesky factorization, half the work of LU, outweighs the per-call cost
     that one stacked call saves.
     """
-    failed = np.zeros(len(M), dtype=bool)
     n = M.shape[-1]
-    if shift and n >= _CHOLESKY_MIN:
+    if n >= _CHOLESKY_MIN:
         d = np.zeros_like(rhs)
         for k in range(len(M)):
             d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
-        return d, failed
+        return d
     try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0], failed
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         pass
     d = np.zeros_like(rhs)
@@ -250,11 +248,8 @@ def _solve(M, rhs, shift=True):
         try:
             d[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
         except np.linalg.LinAlgError:
-            if shift:
-                d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
-            else:
-                failed[k] = True
-    return d, failed
+            d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
+    return d
 
 
 def _qr(A, mode="reduced"):
@@ -296,12 +291,12 @@ class _Stack:
 
     _Stack supplies start, trial, fallback and take, and the state map
     _at(x, rows) of the primal branches: x and its objective as the merit,
-    started at self.x0.  The family classes _Bp and _Smooth supply objective
-    and results, and _Smooth and _BpPrimal gradient_measure (also their
+    started at self.x0.  The family classes _Bp and _Rr supply objective
+    and results, and _Rr and _BpPrimal gradient_measure (also their
     measure).  A branch writes its direction; the fixed-point forms (_BpDual
-    in nu, _RrResidual in w, _EnInverse in x) also write _at and start,
-    _BpDual and _RrResidual their measure, and _BpDual its fallback, which
-    hands the row to _BpPrimal.
+    in nu, _RrResidual in w) also write _at, start and measure, _BpDual its
+    fallback, which hands the row to _BpPrimal, and _Rr the fallback of
+    en's inner rr solves, which takes the row off its root.
 
     take rule: every ndarray attribute holds one entry per instance on axis
     0, and take(rows) slices them all; what the rows share is not an array.
@@ -539,7 +534,7 @@ class _BpDual(_Bp):
         F = st["F"]
         gamma = pnorm._h_prime(st["s"], self.p)
         Q = np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1))
-        return _descent(F, _solve(Q, -F)[0])  # descent on the merit: ascent on the dual
+        return _descent(F, _solve(Q, -F))  # descent on the merit: ascent on the dual
 
     def fallback(self, st, j, it):
         """Row j's SolveResult from _first_order, started at the least-norm
@@ -588,7 +583,7 @@ class _BpPrimal(_Bp):
         floor = _TIKHONOV * lam.max(axis=-1)
         lam = np.where((lam.min(axis=-1) < floor)[:, None], lam + floor[:, None], lam)
         Zt = Z.transpose(0, 2, 1)
-        du = _solve(np.matmul(Zt * lam[:, None, :], Z), -_mv(Zt, st["grad"]))[0]
+        du = _solve(np.matmul(Zt * lam[:, None, :], Z), -_mv(Zt, st["grad"]))
         return _descent(st["G"], _mv(Z, du))  # the slope along null(A) is G^T dx
 
 
@@ -623,109 +618,188 @@ def solve_bp(A, y, p, cfg: SolverConfig | None = None) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# generalized ridge regression
+# generalized ridge regression and elastic net: one smooth family
 # ---------------------------------------------------------------------------
 
-class _Smooth(_Stack):
-    """rr and en: a smooth objective, its gradient and the family's KKT
-    residual (kkt)."""
+class _Rr(_Stack):
+    """rr and en as one family, 0.5 ||A x - y||_2^2 + lam ||x||_p^r + lam2 ||x||_2^2:
+    rr at r = p (None) and lam2 = 0, en at lam = lam1.  Each row has its own
+    lam, as a column.  The start is the p = 2 solution at twice lam + lam2
+    unless `warm` gives one."""
+
+    lean = False  # results: (x, iterations) alone, for the inner solves of a root in lam
+
+    def __init__(self, A, y, p, cfg, lam, warm=None, r=None, lam2=0.0):
+        super().__init__(A, y, p, cfg)
+        self.lam, self.r, self.lam2 = lam[:, None], (p if r is None else r), lam2
+        aty = _tmv(A, y)
+        self.scale = _amax(aty)
+        if warm is None:
+            AtA = np.matmul(A.transpose(0, 2, 1), A)
+            warm = _solve(_add_diag(AtA, 2.0 * (self.lam + lam2)), aty)
+        self.x0 = warm
+
+    def objective(self, x, rows=slice(None)):
+        res = _mv(self.A[rows], x) - self.y[rows]
+        fpow = pnorm._pow_sum(x, self.p)
+        penalty = fpow if self.r == self.p else (fpow ** (1.0 / self.p)) ** self.r
+        obj = 0.5 * _dot(res, res) + self.lam[rows, 0] * penalty
+        return obj + self.lam2 * _dot(x, x) if self.lam2 else obj
 
     def gradient_measure(self, st):
-        st["G"] = self.gradient(st["x"])
+        st["G"] = _rr_gradient(self.A, self.y, st["x"], self.p, self.lam, self.r, self.lam2)
         return _amax(st["G"]), self.scale
 
     measure = gradient_measure
 
-    def results(self, st, rows, it, ok):
+    def kkt(self, x, rows):
+        A, y, lam = self.A[rows], self.y[rows], self.lam[rows]
+        return _kkt_en(A, y, x, None, self.p, self.r, lam, self.lam2)
+
+    def results(self, st, rows, it, ok=None):
+        """`it`: one count or one per row; `ok` by default: the KKT test."""
         x = st["x"][rows]
+        if self.lean:
+            return [(xj, it) for xj in x]
         obj = self.objective(x, rows)
         kkt = self.kkt(x, rows)
-        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), it,
+        ok = kkt <= self.cfg.kkt_tol * self.scale[rows] if ok is None else ok
+        its = it.tolist() if isinstance(it, np.ndarray) else [it] * len(x)
+        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), its[j],
                             CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
 
+    def fallback(self, st, j, it):
+        if self.lean and self.lam2:  # en's root: a non-finite x takes the row off it
+            return np.full(self.A.shape[2], np.nan), it
+        return super().fallback(st, j, it)
 
-class _Rr(_Smooth):
-    lean = False
 
-    def __init__(self, A, y, p, cfg, lam, warm):
-        super().__init__(A, y, p, cfg)
-        self.lam = lam[:, None]  # each row's own lam, as a column
-        self.scale = _amax(_tmv(A, y))
-        if warm is None:  # the p = 2 solution at twice lam
-            AtA = np.matmul(A.transpose(0, 2, 1), A)
-            warm = _solve(_add_diag(AtA, 2.0 * self.lam), _tmv(A, y))[0]
-        self.x0 = warm
-
-    def objective(self, x, rows=slice(None)):
-        r = _mv(self.A[rows], x) - self.y[rows]
-        return 0.5 * _dot(r, r) + self.lam[rows, 0] * pnorm._pow_sum(x, self.p)
-
-    def gradient(self, x, rows=slice(None)):
-        return _rr_gradient(self.A[rows], self.y[rows], x, self.p, self.lam[rows])
-
-    def kkt(self, x, rows):
-        return _kkt_rr(self.A[rows], self.y[rows], x, None, self.p, self.lam[rows])
-
-    def results(self, st, rows, it, ok):
-        if self.lean:  # the bpdn path's inner solves read x and the iterations alone
-            return [(x, it) for x in st["x"][rows]]
-        return super().results(st, rows, it, ok)
+def _reduced(A, e, lam2):
+    """(D, I + A diag(D) A^T) with D = e / (1 + 2 lam2 e): the m x m Schur
+    complement of I + A* diag(e) A*^T on its last N rows (A* = A at lam2 = 0)."""
+    D = e / (1.0 + 2.0 * lam2 * e) if lam2 else e
+    return D, _add_diag(np.matmul(A * D[:, None, :], A.transpose(0, 2, 1)), 1.0)
 
 
 class _RrResidual(_Rr):
-    """1 < p <= 2: the fixed-point form x = -h(A^T (A x - y) / lam), solved by
-    Newton in the residual w = y - A x; its Jacobian I + A diag(h'/lam) A^T
-    is symmetric positive definite.  The merit is |G(w)|^2."""
+    """1 < p <= 2, r = p: x = h(A*^T w / lam) for rr on A* = [A; sqrt(2 lam2) I],
+    y* = [y; 0] (where en's stationarity is rr's: Zou & Hastie, J. R. Stat.
+    Soc. B 2005, Lemma 1), by Newton in the residual w = y* - A* x, its SPD
+    Jacobian I + A* diag(h'/lam) A*^T solved through _reduced; merit |G(w)|^2."""
 
     var = "w"
     slack = 0.0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.As, self.ys, (B, m, N) = self.A, self.y, self.A.shape
+        if self.lam2:
+            eye = np.broadcast_to(np.sqrt(2.0 * self.lam2) * np.eye(N), (B, N, N))
+            self.As = np.concatenate([self.A, eye], axis=1)
+            self.ys = np.concatenate([self.y, np.zeros((B, N))], axis=1)
+
     def _at(self, w, rows):
-        A = self.A[rows]
+        A = self.As[rows]
         s = _tmv(A, w) / self.lam[rows]
         x = pnorm._h(s, self.p)
-        G = w - self.y[rows] + _mv(A, x)
+        G = w - self.ys[rows] + _mv(A, x)
         return {"w": w, "s": s, "x": x, "G": G, "merit": _dot(G, G)}
 
     def start(self):
-        return self._at(self.y - _mv(self.A, self.x0), slice(None))
+        w = self.ys - _mv(self.As, self.x0)
+        if self.lam2:  # w2 with A*^T w = lam g(x0), so that the start maps to x0 itself
+            N = self.A.shape[2]
+            g = self.lam * pnorm._g(self.x0, self.p) - _tmv(self.A, w[:, :-N])
+            w[:, -N:] = g / np.sqrt(2.0 * self.lam2)
+        return self._at(w, slice(None))
 
     def measure(self, st):
-        return _amax(_tmv(self.A, st["G"])), self.scale
+        return _amax(_tmv(self.As, st["G"])), self.scale
 
     def direction(self, st):
-        gamma = pnorm._h_prime(st["s"], self.p) / self.lam
-        J = _add_diag(np.matmul(self.A * gamma[:, None, :], self.A.transpose(0, 2, 1)), 1.0)
-        return _solve(J, -st["G"])[0], -st["merit"], None
+        A, G, lam2 = self.A, st["G"], self.lam2
+        e = pnorm._h_prime(st["s"], self.p) / self.lam
+        D, J = _reduced(A, e, lam2)
+        if not lam2:
+            return _solve(J, -G), -st["merit"], None
+        m, c = A.shape[1], np.sqrt(2.0 * lam2)
+        d1 = _solve(J, c * _mv(A, D * G[:, m:]) - G[:, :m])
+        d2 = -(G[:, m:] + c * e * _tmv(A, d1)) / (1.0 + 2.0 * lam2 * e)
+        return np.concatenate([d1, d2], axis=1), -st["merit"], None
 
 
-class _RrPrimal(_Rr):
-    """p >= 2: Newton on the stationarity system, matrix A^T A + lam diag(g'(x))."""
+class _EnPrimal(_Rr):
+    """p >= 2: Newton with the exact Hessian of lam ||x||_p^r, whose rank-one term is 0 at r = p:
+    lam (r/p) ||x||_p^(r-p) [diag(g'(x)) + ((r-p) / (p ||x||_p^p)) g(x) g(x)^T]."""
 
-    def __init__(self, A, y, p, cfg, lam, warm):
-        super().__init__(A, y, p, cfg, lam, warm)
-        self.AtA = np.matmul(A.transpose(0, 2, 1), A)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.AtA = np.matmul(self.A.transpose(0, 2, 1), self.A)
 
     def direction(self, st):
-        G = st["G"]
-        d = _solve(_add_diag(self.AtA.copy(), self.lam * pnorm._g_prime(st["x"], self.p)), -G)[0]
-        return _descent(G, d)
+        p, r, x, G = self.p, self.r, st["x"], st["G"]
+        J, diag, zero = self.AtA.copy(), self.lam, None  # diag: lam times the Hessian's factor
+        if r != p:
+            fpow = pnorm._pow_sum(x, p)
+            zero = fpow == 0.0  # the Hessian is undefined at x = 0
+            fpow = np.where(zero, 1.0, fpow)[:, None]
+            diag = self.lam * (r / p) * fpow ** ((r - p) / p)
+            grad = pnorm._g(x, p)
+            J += (diag * (r - p) / (p * fpow) * grad)[:, :, None] * grad[:, None, :]
+        _add_diag(J, diag * pnorm._g_prime(x, p) + 2.0 * self.lam2)
+        d, slope, _ = _descent(G, _solve(J, -G))
+        return d, slope, zero
 
 
-def _rr_gradient(A, y, x, p, lam):
-    """The rr gradient A^T (A x - y) + lam g(x) of every row; lam a scalar or a column."""
-    return _tmv(A, _mv(A, x) - y) + lam * pnorm._g(x, p)
+def _coef(x, p, lam, r=None):
+    """lam (r/p) ||x||_p^(r-p), the factor of g(x) in the gradient of
+    lam ||x||_p^r, as a column: lam at r = p (None), 0 at x = 0."""
+    if r is None or r == p:
+        return lam
+    fpow = pnorm._pow_sum(x, p)[:, None]
+    nz = fpow > 0.0
+    return np.where(nz, (r * lam / p) * np.where(nz, fpow, 1.0) ** ((r - p) / p), 0.0)
 
 
-def _rr_stack(A, y, p, cfg, lam):
-    """rr on a stack of finite instances, row k at lam (a scalar) or lam[k]."""
+def _rr_gradient(A, y, x, p, lam, r=None, lam2=0.0):
+    """A^T (A x - y) + 2 lam2 x + _coef g(x) of every row (rr: r = p, lam2 = 0)."""
+    G = _tmv(A, _mv(A, x) - y)
+    if lam2:
+        G = G + 2.0 * lam2 * x
+    return G + _coef(x, p, lam, r) * pnorm._g(x, p)
+
+
+def _rr_stack(A, y, p, cfg, lam=None, r=None, lam1=None, lam2=0.0):
+    """rr (row k at lam or lam[k]) or en (r, lam1, lam2) on a stack of finite
+    instances.  x = 0 solves the rows with A^T y = 0 (for en at r = 1 also
+    ||A^T y||_q <= lam1).  en at p < 2 is rr on (A*, y*) at the root lam* of
+    log lam = log(r lam1 / p) + ((r - p) / p) log ||x(lam)||_p^p (_rr_path_root
+    from the ridge start, unless that passes the KKT test), at the closest
+    point its root saw, or by _first_order if it saw none."""
     B, m, N = A.shape
     out = [None] * B
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (B,))
-    zero = ~np.any(_tmv(A, y), axis=1)
-    for k in np.flatnonzero(zero):
-        out[k] = SolveResult(np.zeros(N), None, 0.5 * float(y[k] @ y[k]), 0.0, 0, CONVERGED)
-    _run(_branch("rr", p)(A, y, p, cfg, lam, None), out, np.flatnonzero(~zero))
+    lam = np.broadcast_to(np.asarray(lam1 if lam is None else lam, dtype=float), (B,))
+    en_root = r is not None and p < 2.0
+    br = (_Rr if en_root else _branch("rr", p))(A, y, p, cfg, lam, None, r, lam2)
+    done = br.kkt(np.zeros((B, N)), slice(None)) == 0.0 if r == 1.0 else br.scale == 0.0
+    x = np.zeros((B, N))
+    if en_root:
+        x[~done] = br.x0[~done]
+        done |= br.kkt(x, slice(None)) <= cfg.kkt_tol * br.scale
+    if done.any():
+        for k, res in zip(np.flatnonzero(done), br.results({"x": x}, done, 0)):
+            out[k] = res
+    rows = np.flatnonzero(~done)
+    if not en_root or not len(rows):
+        _run(br, out, rows)
+        return out
+    one = br.take(rows) if len(rows) < B else br
+    tol = 0.5 * cfg.kkt_tol * one.scale
+    x, lam, iters, _ = _rr_path_root(one.A, one.y, p, cfg, "en", one.lam[:, 0], tol, tol, one.x0,
+                                     _coef(one.x0, p, one.lam, r)[:, 0], lam2, r)
+    unseen = np.isnan(lam).tolist()
+    for j, (k, res) in enumerate(zip(rows, one.results({"x": x}, slice(None), iters))):
+        out[k] = _first_order(one.take([j]), x[j], int(iters[j])) if unseen[j] else res
     return out
 
 
@@ -742,113 +816,16 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
-def _rr_core(A, y, p, lam, cfg, warm):
-    """rr on a stack of validated instances with A^T y != 0, row k at lam[k]
-    and from warm[k]: the inner solves of the bpdn path.  Returns (x,
-    iterations) as arrays over the rows; the objective and KKT residual of
-    each row, which the path never reads, are not formed."""
-    br = _branch("rr", p)(A, y, p, cfg, lam, warm)
+def _rr_core(A, y, p, lam, cfg, warm, lam2=0.0):
+    """rr on (A*, y*) (_RrResidual), row k at lam[k] from warm[k] with A^T y != 0: the
+    inner solves of the roots in lam, as arrays (x, iterations)."""
+    br = _branch("rr", p)(A, y, p, cfg, lam, warm, lam2=lam2)
     br.lean = True
     out = [None] * len(A)
-    with np.errstate(all="ignore"):  # a budget too small can overflow x; the path checks x
+    with np.errstate(all="ignore"):  # a budget too small can overflow x; the root checks x
         _newton(br, out, np.arange(len(A)))
     x, iterations = zip(*out)
     return np.array(x), np.array(iterations)
-
-
-# ---------------------------------------------------------------------------
-# generalized elastic net
-# ---------------------------------------------------------------------------
-
-class _En(_Smooth):
-    def __init__(self, A, y, p, cfg, r, lam1, lam2):
-        super().__init__(A, y, p, cfg)
-        self.r, self.lam1, self.lam2 = r, lam1, lam2
-        self.AtA = np.matmul(A.transpose(0, 2, 1), A)
-        self.aty = _tmv(A, y)
-        self.scale = _amax(self.aty)
-        self.x0 = _solve(_add_diag(self.AtA.copy(), 2.0 * (lam1 + lam2)), self.aty)[0]
-
-    def objective(self, x, rows=slice(None)):
-        res = _mv(self.A[rows], x) - self.y[rows]
-        norm_r = (pnorm._pow_sum(x, self.p) ** (1.0 / self.p)) ** self.r
-        return 0.5 * _dot(res, res) + self.lam1 * norm_r + self.lam2 * _dot(x, x)
-
-    def gradient(self, x, rows=slice(None)):
-        return _en_gradient(self.A[rows], self.y[rows], x, self.p, self.r, self.lam1, self.lam2)
-
-    def kkt(self, x, rows):
-        return _kkt_en(self.A[rows], self.y[rows], x, None, self.p, self.r, self.lam1, self.lam2)
-
-
-def _en_gradient(A, y, x, p, r, lam1, lam2):
-    """The en gradient A^T (A x - y) + 2 lam2 x + (r lam1 / p) ||x||_p^(r-p) g(x)
-    of every row, without the last term at x = 0."""
-    base = _tmv(A, _mv(A, x) - y) + 2.0 * lam2 * x
-    fpow = pnorm._pow_sum(x, p)
-    nz = fpow > 0.0
-    coef = np.where(nz, (r * lam1 / p) * np.where(nz, fpow, 1.0) ** ((r - p) / p), 0.0)
-    return base + coef[:, None] * pnorm._g(x, p)
-
-
-class _EnInverse(_En):
-    """1 < p <= 2: Newton on the inverse-map form Psi(x) = x + h(w(x)) = 0 of
-    the stationarity, with w_i = p ||x||_p^(p-r) (a_i^T (Ax - y) + 2 lam2 x_i)
-    / (r lam1).  Psi is continuously differentiable wherever x != 0 (the
-    crossing of a coordinate through zero is smooth, unlike the x-space
-    Hessian, which blows up).  The merit is |Psi|."""
-
-    def _at(self, x, rows):
-        p, r = self.p, self.r
-        fpow = pnorm._pow_sum(x, p)
-        npow = fpow ** ((p - r) / p)  # ||x||_p^(p-r)
-        base = _mv(self.AtA[rows], x) - self.aty[rows] + 2.0 * self.lam2 * x
-        w = (p / (r * self.lam1)) * npow[:, None] * base
-        psi = x + pnorm._h(w, p)
-        return {"x": x, "fpow": fpow, "npow": npow, "base": base, "w": w, "psi": psi,
-                "merit": np.sqrt(_dot(psi, psi))}
-
-    def direction(self, st):
-        p, r, x = self.p, self.r, st["x"]
-        gamma = pnorm._h_prime(st["w"], p)
-        grad_npow = ((p - r) / p * pnorm._g(x, p)
-                     / np.maximum(st["fpow"] ** (r / p), 1e-300)[:, None])
-        inner = (st["base"][:, :, None] * grad_npow[:, None, :]
-                 + st["npow"][:, None, None] * _add_diag(self.AtA.copy(), 2.0 * self.lam2))
-        J = _add_diag((p / (r * self.lam1)) * gamma[:, :, None] * inner, 1.0)
-        d, failed = _solve(J, -st["psi"], shift=False)
-        return d, -st["merit"], failed
-
-
-class _EnPrimal(_En):
-    """p >= 2: Newton with the exact Hessian of ||x||_p^r,
-    (r/p) ||x||_p^(r-p) [diag(g'(x)) + ((r-p) / (p ||x||_p^p)) g(x) g(x)^T]."""
-
-    def direction(self, st):
-        p, r, x, G = self.p, self.r, st["x"], st["G"]
-        fpow = pnorm._pow_sum(x, p)
-        zero = fpow == 0.0  # the Hessian is undefined at x = 0
-        fpow = np.where(zero, 1.0, fpow)
-        grad = pnorm._g(x, p)
-        diag = self.lam1 * (r / p) * fpow ** ((r - p) / p)  # lam1 times the Hessian's factor
-        rank1 = diag * (r - p) / (p * fpow)
-        J = self.AtA + (rank1[:, None] * grad)[:, :, None] * grad[:, None, :]
-        _add_diag(J, diag[:, None] * pnorm._g_prime(x, p) + 2.0 * self.lam2)
-        d, slope, _ = _descent(G, _solve(J, -G)[0])
-        return d, slope, zero
-
-
-def _en_stack(A, y, p, cfg, r, lam1, lam2):
-    """en on a stack of finite instances; a row whose residual at x = 0 is 0 needs no solve."""
-    B, m, N = A.shape
-    out = [None] * B
-    zero = _kkt_en(A, y, np.zeros((B, N)), None, p, r, lam1, lam2) == 0.0
-    br = _branch("en", p)(A, y, p, cfg, r, lam1, lam2)
-    rows = np.flatnonzero(zero)
-    for k, res in zip(rows, br.results({"x": np.zeros((B, N))}, rows, 0, np.ones(rows.size, bool))):
-        out[k] = res
-    _run(br, out, np.flatnonzero(~zero))
-    return out
 
 
 def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveResult:
@@ -859,11 +836,9 @@ def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveRe
 
         A^T (A x - y) + (r lam1 / p) ||x||_p^(r-p) grad_f(x) + 2 lam2 x = 0.
 
-    Newton with the exact Hessian of ||.||_p^r for p >= 2; for 1 < p <= 2
-    a damped Newton iteration on the inverse-map form of the stationarity
-    system (which stays smooth as coordinates cross zero).  A BB + Armijo
-    first-order method backs both up.  A batch of one through the stacked
-    driver (see solve_stack).
+    For p >= 2 Newton with the exact Hessian of ||.||_p^r; for 1 < p < 2 rr's
+    residual Newton on A* = [A; sqrt(2 lam2) I], y* = [y; 0] inside a Newton
+    root for lam* = (r lam1 / p) ||x||_p^(r-p) (_rr_stack).  A batch of one.
     """
     return _raised(solve_stack("en", *_one(A, y), p, cfg, r=r, lam1=lam1, lam2=lam2)[0])
 
@@ -951,7 +926,7 @@ def _bpdn_eps_stack(A, y, p, cfg, eps):
         out[k] = SolveResult(np.zeros(N), 0.0, 0.0, 0.0, 0, CONVERGED)
     rows = rows[~slack]
     A, y, eps = A[rows], y[rows], eps[rows]
-    x, lam, iters, found = _rr_path_root(A, y, p, cfg, True, eps, _PATH_MATCH_TOL * ny[rows],
+    x, lam, iters, found = _rr_path_root(A, y, p, cfg, "residual", eps, _PATH_MATCH_TOL * ny[rows],
                                          1e-8 * ny[rows], x_ls[rows])
     mu = 1.0 / (2.0 * lam)
     kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
@@ -990,7 +965,7 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
             out[k] = SolveResult(b.x, 0.0, float(np.linalg.norm(A[k] @ b.x - y[k])),
                                  float(kkt[0]), b.iterations, b.status, reduced_to_bp=True)
     rows = np.array([k for k in rows if out[k] is None], dtype=int)
-    x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, False, eta[rows],
+    x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, "norm", eta[rows],
                                         _PATH_MATCH_TOL * eta[rows], 1e-8 * eta[rows], x_ls[rows])
     bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
     r = _mv(A[rows], x) - y[rows]
@@ -1039,44 +1014,47 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     return _raised(solve_stack("bpdn_eta", *_one(A, y), p, cfg, eta=eta)[0])
 
 
-def _path_dx(A, p, lam, x):
-    """dx/dlam on the rr path of every row of a stack, from the derivative of its stationarity.
+def _path_dx(A, p, lam, x, lam2=0.0):
+    """dx/dlam on the rr path on (A*, y*) (_RrResidual) of every row of a stack.
 
-    Differentiating A^T (A x - y) + lam g(x) = 0 gives
-    (A^T A + lam diag(g'(x))) dx = -g(x).  For p >= 2 that n x n system is
-    solved as it stands; for 1 < p < 2, where g' blows up at 0, it is solved
-    in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m matrix
-    J = I + A E A^T of the residual Newton iteration.
+    Differentiating A*^T (A* x - y*) + lam g(x) = 0 gives
+    (A^T A + diag(lam g'(x) + 2 lam2)) dx = -g(x).  For p >= 2 that n x n
+    system is solved as it stands; for 1 < p < 2, where g' blows up at 0, it
+    is solved in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m
+    matrix of the residual Newton iteration (_reduced).
     """
     g = pnorm._g(x, p)
     if p >= 2.0:
-        J = _add_diag(np.matmul(A.transpose(0, 2, 1), A), lam[:, None] * pnorm._g_prime(x, p))
-        return _solve(J, -g)[0]
-    e = pnorm._h_prime(g, p) / lam[:, None]
-    J = _add_diag(np.matmul(A * e[:, None, :], A.transpose(0, 2, 1)), 1.0)
-    return e * (_tmv(A, _solve(J, _mv(A, e * g))[0]) - g)
+        J = _add_diag(np.matmul(A.transpose(0, 2, 1), A),
+                      lam[:, None] * pnorm._g_prime(x, p) + 2.0 * lam2)
+        return _solve(J, -g)
+    D, J = _reduced(A, pnorm._h_prime(g, p) / lam[:, None], lam2)
+    return D * (_tmv(A, _solve(J, _mv(A, D * g))) - g)
 
 
-def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor, x_ls):
-    """Find, on each row k of a stack, lam on its rr path x(lam) where the path value meets target[k].
+def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=0.0, r=None):
+    """Find, on each row k of a stack, lam on its rr path x(lam) where the path meets `aim`:
 
-    The path value is ||A x - y||_2 when `residual` (it grows with lam),
-    else ||x||_p (it falls).  Each row starts from x_bar = s x_ls, the
-    least-norm solution x_ls of A x = y scaled to meet the target (s = 1 -
-    eps / ||y||, so ||A x_bar - y|| = eps, or s = eta / ||x_ls||_p, so
-    ||x_bar||_p = eta), at the lam that best fits the rr stationarity there
-    along x_bar: lam0 = <A^T (y - A x_bar), x_bar> / <g(x_bar), x_bar>
-    = ||y||^2 s (1 - s) / (p ||x_bar||_p^p).  Newton steps in log lam take
+      "residual"  ||A x - y||_2 = target[k] (bpdn_eps); it grows with lam
+      "norm"      ||x||_p = target[k] (bpdn_eta); it falls
+      "en"        lam = lam* = _coef(x, p, target[k], r) on (A*, y*), by the gap
+                  (lam - lam*) max |g(x)| the inner solve leaves of en's gradient
+
+    An en row starts at lam[k] and x0[k], a bpdn row at x_bar = s x0, x0 = x_ls
+    the least-norm solution of A x = y scaled to meet the target (s = 1 - eps /
+    ||y|| or eta / ||x_ls||_p), and at the lam that best fits rr's stationarity
+    along x_bar, ||y||^2 s (1 - s) / (p ||x_bar||_p^p).  Newton steps in
+    log lam on log ||A x - y||, on ||x||_p or on log lam - log lam*(x) take
     their slope from _path_dx, and each starts its rr solve on the tangent,
     x + dx/dlam (lam_new - lam).  The bracket [lo, hi] seen so far guards
     them: a step that leaves it, or that follows a Newton step which failed
     to halve the mismatch, is replaced by a geometric one (x8, /8 or
     sqrt(lo hi)) that starts from x.  lam0 and the floor 1e-12 mean(A * A)
     scale as c^2 when (A, y) scales by c, so the iteration is scale-free; a
-    non-finite lam0 (s^p underflows) gives way to mean(A * A).  A row aims
-    for |value - target| <= tol; when its bracket collapses to machine width
-    first (the tolerance sits below what the inner solves can certify), the
-    closest point is still accepted if it matches within tol_floor.
+    non-finite lam0 (s^p underflows) gives way to mean(A * A).  A row aims for
+    |gap| <= tol; when its bracket collapses to machine width first (the
+    tolerance sits below what the inner solves can certify), the closest
+    point is still accepted if it matches within tol_floor.
 
     The rows run in lockstep: each round solves the active rows' rr at their
     own lam as one stack (_rr_core) and takes one stacked _path_dx, and a
@@ -1085,7 +1063,9 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor, x_ls):
     (a budget too small for the inner solves).  Each row's numbers depend
     on that row alone.  Returns (x, lam, inner_iterations, found) over the
     rows; found is False where even the floor lies past the target, no point
-    met tol_floor, or an inner x was not finite.
+    met tol_floor, or an inner x was not finite.  Where not found, x and lam
+    are the closest point seen and its lam (the start and nan if no inner
+    solve gave a finite x).
     """
     # inner solves are polished well below the match tolerance so the path
     # value and its slope carry negligible noise
@@ -1093,58 +1073,62 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor, x_ls):
     B, m, N = A.shape
     mean_sq = (A * A).reshape(B, m * N).mean(axis=1)
     floor = 1e-12 * mean_sq
-    ny2 = _dot(y, y)
-    with np.errstate(all="ignore"):
-        if residual:
-            frac = 1.0 - target / np.sqrt(ny2)
-        else:
-            frac = target / pnorm._pow_sum(x_ls, p) ** (1.0 / p)
-        x_bar = frac[:, None] * x_ls
-        lam = ny2 * frac * (1.0 - frac) / (p * pnorm._pow_sum(x_bar, p))
+    if lam is None:
+        ny2 = _dot(y, y)
+        with np.errstate(all="ignore"):
+            frac = (1.0 - target / np.sqrt(ny2) if aim == "residual"
+                    else target / pnorm._pow_sum(x0, p) ** (1.0 / p))
+            x0 = frac[:, None] * x0
+            lam = ny2 * frac * (1.0 - frac) / (p * pnorm._pow_sum(x0, p))
     lam = np.where(np.isfinite(lam), np.maximum(lam, floor), mean_sq)
     x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
     iters, found = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
+    grows = aim != "norm"
     s = {"row": np.arange(B), "A": A, "y": y, "target": target, "tol": tol, "tol_floor": tol_floor,
-         "lam": lam, "floor": floor, "lo": np.zeros(B), "hi": np.full(B, np.inf), "warm": x_bar,
-         "total": np.zeros(B, dtype=int), "best": np.full(B, np.inf), "best_x": np.zeros((B, N)),
-         "best_lam": np.zeros(B), "last_gap": np.full(B, np.inf), "newton": np.zeros(B, dtype=bool)}
+         "lam": lam, "floor": floor, "lo": np.zeros(B), "hi": np.full(B, np.inf), "warm": x0,
+         "total": np.zeros(B, dtype=int), "best": np.full(B, np.inf), "best_x": x0.copy(),
+         "best_lam": np.full(B, np.nan), "last_gap": np.full(B, np.inf), "newton": np.zeros(B, dtype=bool)}
     for solves in range(1, 201):  # budget of inner rr solves
         if not B:
             break
-        x, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"])
+        x, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"], lam2)
         s["total"] = s["total"] + inner
         with np.errstate(all="ignore"):
-            r = _mv(s["A"], x) - s["y"]
-            value = np.sqrt(_dot(r, r)) if residual else pnorm._pow_sum(x, p) ** (1.0 / p)
-        lost = ~(np.isfinite(x).all(axis=1) & np.isfinite(value))
-        gap = value - s["target"]
+            res = _mv(s["A"], x) - s["y"]
+            value = (np.sqrt(_dot(res, res)) if aim == "residual"
+                     else pnorm._pow_sum(x, p) ** (1.0 / p))
+            gap = value - s["target"]
+            if aim == "en":
+                lam_en = _coef(x, p, s["target"][:, None], r)[:, 0]
+                gap = (s["lam"] - lam_en) * _amax(pnorm._g(x, p))
+                s["phi"] = np.log(s["lam"] / lam_en)
+        lost = ~(np.isfinite(x).all(axis=1) & np.isfinite(gap))
         match = ~lost & (np.abs(gap) <= s["tol"])
         better = ~lost & (np.abs(gap) < s["best"])
         s["best"] = np.where(better, np.abs(gap), s["best"])
         s["best_x"] = np.where(better[:, None], x, s["best_x"])
         s["best_lam"] = np.where(better, s["lam"], s["best_lam"])
-        past = (gap > 0.0) == residual
+        past = (gap > 0.0) == grows
         dead = lost | (~match & past & (s["lam"] <= s["floor"]))
         s["hi"] = np.where(past, s["lam"], s["hi"])
         s["lo"] = np.where(past, s["lo"], s["lam"])
         shut = ~match & ~dead & ((s["lo"] >= (1.0 - 1e-13) * s["hi"]) | (solves == 200))
-        ok = match | (shut & (s["best"] <= s["tol_floor"]))
-        k = s["row"][ok]
-        found[k] = True
-        x_out[k] = np.where(match[ok, None], x[ok], s["best_x"][ok])
-        lam_out[k] = np.where(match[ok], s["lam"][ok], s["best_lam"][ok])
-        iters[k] = s["total"][ok]
-        s.update(x=x, r=r, value=value, gap=gap)
-        keep = ~(match | dead | shut)
-        if not keep.all():
-            s = {key: v[keep] for key, v in s.items()}
+        found[s["row"][match | (shut & (s["best"] <= s["tol_floor"]))]] = True
+        leave = match | dead | shut
+        k = s["row"][leave]
+        x_out[k] = np.where(match[leave, None], x[leave], s["best_x"][leave])
+        lam_out[k] = np.where(match[leave], s["lam"][leave], s["best_lam"][leave])
+        iters[k] = s["total"][leave]
+        s.update(x=x, r=res, value=value, gap=gap)
+        if leave.any():
+            s = {key: v[~leave] for key, v in s.items()}
         if not len(s["row"]):
             break
         x = s["x"]
         lam, lo, hi = s["lam"], s["lo"], s["hi"]
         with np.errstate(all="ignore"):
-            dx = _path_dx(s["A"], p, lam, x)
-            if residual:
+            dx = _path_dx(s["A"], p, lam, x, lam2)
+            if aim == "residual":
                 # Newton on log ||r||, which is near linear in log lam where
                 # the residual grows like lam; ||x||_p is stepped on as it is
                 phi = np.log(s["value"] / s["target"])
@@ -1152,6 +1136,9 @@ def _rr_path_root(A, y, p, cfg, residual, target, tol, tol_floor, x_ls):
             else:
                 phi = s["gap"]
                 slope = lam * _dot(pnorm._g(x / s["value"][:, None], p), dx) / p
+                if aim == "en":  # d log lam* / d log lam = (r - p) d log ||x||_p / d log lam
+                    phi = s["phi"]
+                    slope = 1.0 - (r - p) * slope / s["value"]
             step = lam * np.exp(-phi / slope)
             # an open side of the bracket reaches one geometric step out
             up, down = hi == np.inf, lo == 0.0
@@ -1311,13 +1298,14 @@ def _kkt_rr(A, y, x, _, p, lam):
 
 def _kkt_en(A, y, x, _, p, r, lam1, lam2):
     """en: the max-norm of the gradient; for r = 1 at x = 0, where ||x||_p has
-    no gradient, the excess of the dual norm ||A^T y||_q over lam1 (x = 0 is
-    optimal iff it is 0)."""
-    kkt = _amax(_en_gradient(A, y, x, p, r, lam1, lam2))
+    no gradient, the excess of the dual norm ||A^T y||_q over lam1 (a scalar
+    or a column; x = 0 is optimal iff it is 0)."""
+    kkt = _amax(_rr_gradient(A, y, x, p, lam1, r, lam2))
     zero = ~x.any(axis=-1)
     if r == 1.0 and zero.any():
         q = p / (p - 1.0)
-        kkt[zero] = np.maximum(0.0, pnorm._pow_sum(_tmv(A[zero], y[zero]), q) ** (1.0 / q) - lam1)
+        dual = pnorm._pow_sum(_tmv(A[zero], y[zero]), q) ** (1.0 / q)
+        kkt[zero] = np.maximum(0.0, dual - np.broadcast_to(lam1, (len(x), 1))[zero, 0])
     return kkt
 
 
@@ -1355,9 +1343,9 @@ FAMILIES = {
                         per_row=True, multiplier="mu"),
     "bpdn_eta": _Family(("eta",), _P_GT1, solve_bpdn_eta, _kkt_bpdn_eta, _bpdn_eta_stack,
                         per_row=True, multiplier="mu"),
-    "rr": _Family(("lam",), _P_GT1, solve_rr, _kkt_rr, _rr_stack, (_RrResidual, _RrPrimal)),
-    "en": _Family(("r", "lam1", "lam2"), _P_GT1, solve_en, _kkt_en, _en_stack,
-                  (_EnInverse, _EnPrimal)),
+    "rr": _Family(("lam",), _P_GT1, solve_rr, _kkt_rr, _rr_stack, (_RrResidual, _EnPrimal)),
+    "en": _Family(("r", "lam1", "lam2"), _P_GT1, solve_en, _kkt_en, _rr_stack,
+                  (_RrResidual, _EnPrimal)),
     "bp_l1": _Family((), None, solve_bp_l1, _kkt_bp_l1, multiplier="nu"),
     "rr_irls": _Family(("lam",), (0.0, 1.0), solve_rr_irls, _kkt_rr_irls),
 }
@@ -1384,8 +1372,8 @@ def _checked(family, values, B=None):
 
 def _valid(family, name, v, B=None):
     """v as p or as the parameter `name` of `family`, checked against its
-    range: a float, or an array of length B for a per_row family's parameter
-    on a stack of B instances."""
+    range (finite): a float, or an array of length B for a per_row family's
+    parameter on a stack of B instances."""
     fam = FAMILIES[family]
     if name == "p":
         lo, hi = fam.p_range
@@ -1406,9 +1394,10 @@ def _valid(family, name, v, B=None):
     except (TypeError, ValueError):
         raise InvalidInputError(f"{rule}{' per instance' if per_row else ''}, got {v!r}") from None
     a = np.asarray(v)
-    ok = a >= bound if op == ">=" else a > bound
+    ok = (a >= bound if op == ">=" else a > bound) & np.isfinite(a)
     if not ok.all():
-        raise InvalidInputError(f"{rule}, got {float(a[~ok][0])}")
+        bad = float(a[~ok][0])
+        raise InvalidInputError(f"{rule}{'' if np.isfinite(bad) else ' and finite'}, got {bad}")
     return v
 
 

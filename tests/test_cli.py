@@ -331,6 +331,39 @@ class TestExperimentCommand:
         assert capsys.readouterr().err == f"error: config: {problem}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind,overrides,problem", [
+        ("genericity", {"family": "bp-l1"}, "field 'family': unknown genericity family 'bp_l1'"),
+        ("recovery", {"family": "rr", "sparsity": 2}, "field 'family': unknown recovery family 'rr'"),
+        ("genericity", {"m": 6, "N": 8}, "field 'N': bp genericity requires N >= 2m - 1"),
+        ("genericity", {"family": "rr", "m": 9, "N": 8}, "field 'N': experiments require N >= m"),
+        ("recovery", {"family": "bp-l1", "p_grid": [1.0], "sparsity": 2, "m": 9},
+         "field 'N': experiments require N >= m")])
+    def test_experiment_rules_checked_with_the_config(self, tmp_path, capsys, kind, overrides, problem):
+        # the kind's family and shape rules (analysis.experiment_problems) name their field
+        out = tmp_path / "o.csv"
+        cfgp = self.config(tmp_path, **overrides)
+        assert main(["experiment", "--kind", kind, "--config", cfgp, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config: {problem}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,field,value", [
+        ("genericity", "lambda", float("inf")), ("genericity", "lambda1", float("nan")),
+        ("genericity", "r", float("inf")), ("genericity", "support_tol", float("nan")),
+        ("genericity", "epsilon_fraction", float("inf")), ("genericity", "m", float("inf")),
+        ("genericity", "trials", float("nan")), ("genericity", "p_grid", [3.0, float("inf")]),
+        ("perturbation", "delta_grid", [float("nan"), float("inf")])])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, kind, field, value):
+        # JSON NaN and Infinity are numbers to Python's json module, but no field takes them
+        cfg = {"m": 8, "N": 16, "sparsity": 2, "trials": 4, "master_seed": 3}
+        cfg.update({"family": "bp", "p_grid": [3.0]} if kind == "genericity" else {"delta_grid": [0.0]})
+        cfg[field] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o.csv"
+        assert main(["experiment", "--kind", kind, "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: config: field {field!r} has invalid value {value!r}\n"
+        assert not out.exists()
+
     def test_whole_number_fields(self, tmp_path, capsys):
         # a float with no fraction is a whole number; a negative seed is named
         out = tmp_path / "o.csv"

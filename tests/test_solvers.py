@@ -340,13 +340,14 @@ class TestSolveEN:
             t *= 2.0
         assert res.objective == pytest.approx(fx, abs=1e-6)
 
-    @pytest.mark.parametrize("p,newton", [(1.5, "fixed_point"), (3.0, "primal_dual_newton")])
+    @pytest.mark.parametrize("p,newton", [(1.5, "augmented_rr_root"), (3.0, "primal_dual_newton")])
     def test_uniqueness_probe(self, p, newton):
-        # p picks the Newton branch: the inverse-map fixed point below 2, primal Newton above
+        # p picks the method: below 2 rr's residual Newton on the augmented
+        # data inside a root in lam, primal Newton above
         rng = np.random.default_rng(72)
         A, y = random_instance(rng, 3, 7)
         a = solve_en(A, y, p, 1.0, 0.1, 0.1)
-        b = first_order("en", A, y, p, 1.0, 0.1, 0.1)
+        b = first_order("en", A, y, p, np.array([0.1]), None, 1.0, 0.1)
         assert a.converged and b.converged, newton
         np.testing.assert_allclose(a.x, b.x, rtol=1e-6, atol=1e-9)
 
@@ -357,6 +358,72 @@ class TestSolveEN:
             solve_en(np.eye(2), [1.0, 1.0], 2, 1, -0.1, 0.1)
         with pytest.raises(InvalidInputError):
             solve_en(np.eye(2), [1.0, 1.0], 2, 1, 0.1, 0.0)
+
+
+class TestEnAugmentedRr:
+    """en below p = 2: rr's residual Newton on A* = [A; sqrt(2 lam2) I],
+    y* = [y; 0] inside a Newton root for lam* = (r lam1 / p) ||x||_p^(r-p)."""
+
+    @staticmethod
+    def _relative_kkt(A, y, x, p, r, lam1, lam2):
+        """The en stationarity against the largest of its parts, before they cancel."""
+        fpow = pnorm.pnorm_pow(x, p)
+        penalty = (r * lam1 / p) * fpow ** ((r - p) / p) * pnorm.pnorm_grad(x, p)
+        parts = (A.T @ (A @ x), -(A.T @ y), 2.0 * lam2 * x, penalty)
+        return np.abs(sum(parts)).max() / max(np.abs(v).max() for v in parts)
+
+    @pytest.mark.parametrize("p", [1.02, 1.05])
+    @pytest.mark.parametrize("r", ["1", "p", "2"])
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_near_one(self, p, r, c):
+        # the baseline set of 48 Gaussian 8x20 instances, (A, y) scaled by c;
+        # RuntimeWarnings are errors here
+        rng = np.random.default_rng(11)
+        A, y = c * rng.normal(size=(48, 8, 20)), c * rng.normal(size=(48, 8))
+        r = {"1": 1.0, "p": p, "2": 2.0}[r]
+        rows = solve_stack("en", A, y, p, r=r, lam1=0.1, lam2=0.1)
+        for k, res in enumerate(rows):
+            if not res.x.any():  # optimal iff r = 1 and ||A^T y||_q <= lam1
+                assert r == 1.0 and pnorm.pnorm(A[k].T @ y[k], p / (p - 1.0)) <= 0.1, k
+            elif res.converged:
+                assert self._relative_kkt(A[k], y[k], res.x, p, r, 0.1, 0.1) <= 1e-8, k
+        if c == 1.0:
+            assert all(res.converged for res in rows)
+
+    def test_one_rr_solve_at_r_equal_p(self, monkeypatch):
+        # at r = p, lam* = lam1 and no root-find runs
+        calls = []
+        rr_core = lps.solvers._rr_core
+
+        def counted(*args):
+            calls.append(len(args[3]))
+            return rr_core(*args)
+
+        monkeypatch.setattr(lps.solvers, "_rr_core", counted)
+        rng = np.random.default_rng(12)
+        A, y = rng.normal(size=(12, 8, 20)), rng.normal(size=(12, 8))
+        for p in (1.2, 1.5):
+            calls.clear()
+            assert all(res.converged for res in solve_stack("en", A, y, p, r=p, lam1=0.1, lam2=0.1))
+            assert calls == [12]
+            calls.clear()
+            assert solve_en(A[0], y[0], p, p, 0.1, 0.1).converged
+            assert calls == [1]
+
+    def test_schur_direction_solves_the_full_system(self):
+        # the m x m reduced system gives the Newton step of the (m + N) x (m + N) one
+        rng = np.random.default_rng(3)
+        A, y = rng.normal(size=(4, 5, 9)), rng.normal(size=(4, 5))
+        lam, lam2 = np.array([0.1, 0.2, 0.3, 0.4]), 0.3
+        br = lps.solvers._RrResidual(A, y, 1.5, SolverConfig(), lam, None, lam2=lam2)
+        st = br.start()
+        d, slope, failed = br.direction(st)
+        assert failed is None and d.shape == (4, 5 + 9)
+        e = np.abs(st["s"]) / (0.5 * 1.5 ** 2 * lam[:, None])  # h'(s) / lam at p = 1.5
+        for k in range(4):
+            As = np.vstack([A[k], np.sqrt(2.0 * lam2) * np.eye(9)])
+            J = np.eye(14) + (As * e[k]) @ As.T
+            np.testing.assert_allclose(J @ d[k], -st["G"][k], atol=1e-10 * np.abs(st["G"][k]).max())
 
 
 class TestSolveBpdnEps:
@@ -629,11 +696,14 @@ class TestSolveStack:
         self._check(family, rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8)), p)
 
     def test_stalled_instances(self):
-        # en near p = 1 leaves by the stall guard on most instances
-        rng = np.random.default_rng(11)
-        singles = self._check("en", rng.normal(size=(12, 8, 20)), rng.normal(size=(12, 8)), 1.02)
-        assert any(r.status == "max_iter" and r.iterations < 500 for r in singles)
-        assert any(r.converged for r in singles)
+        # rr at p = 1.2 with the columns of A scaled by 10^U(-3, 3) leaves by
+        # the stall guard on two of 48 instances (rows 11 and 17)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((48, 8, 20)) * 10.0 ** rng.uniform(-3, 3, size=(48, 1, 20))
+        singles = self._check("rr", A, rng.standard_normal((48, 8)), 1.2)
+        stalled = [k for k, r in enumerate(singles) if r.status == "max_iter" and r.iterations < 500]
+        assert stalled == [11, 17]
+        assert sum(r.converged for r in singles) == 46
 
     def test_first_order_fallback(self, monkeypatch):
         # bp at p = 1.05: some instances leave the stack for the first-order method
@@ -725,7 +795,7 @@ class TestSolveStack:
         A, y = rng.normal(size=(3, 4, 9)), rng.normal(size=(3, 4))
         lam = np.array([0.1, 0.2, 0.3])
         params = {"bp": lambda k: (), "rr": lambda k: (lam[k], None),
-                  "en": lambda k: (1.0, 0.1, 0.1)}[family]
+                  "en": lambda k: (np.full(3, 0.1)[k], None, 1.0, 0.1)}[family]
         branch = lps.solvers._branch(family, p)
         whole = branch(A, y, p, SolverConfig(), *params(slice(None)))
         for k in range(3):
@@ -1109,6 +1179,18 @@ class TestFamilyTable:
                         call()
         with pytest.raises(InvalidInputError):  # no p, or a family solve_stack does not take
             solve_stack(family, A[None], y[None], **dict(valid, p=None))
+
+    @pytest.mark.parametrize("family", list(VALID))
+    def test_non_finite_raises_invalid_input(self, family):
+        # inf lies above every lower bound, and nan fails every comparison
+        A, y = random_instance(np.random.default_rng(5), 3, 7)
+        solve = getattr(lps.solvers, "solve_" + family)
+        valid = self.VALID[family]
+        for name in valid:
+            for bad in (np.inf, np.nan):
+                message = rf"{family} requires {self.LABEL.get(name, name)}\b"
+                with pytest.raises(InvalidInputError, match=message):
+                    solve(A, y, **dict(valid, **{name: bad}))
 
     @pytest.mark.parametrize("family", list(VALID))
     def test_bad_config_raises_invalid_input(self, family):
