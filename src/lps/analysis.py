@@ -5,7 +5,9 @@ Gaussian instances, solve, measure supports, and aggregate.  Full-support
 statements are fractions over converged trials.  Each trial is measured
 twice: by a relative threshold on the computed x, and by a certificate
 (`certify_nonzero`) that proves, from the optimality system and with
-rounding allowances, which coordinates of the exact solution are nonzero.
+rounding allowances, which coordinates of the exact solution are nonzero:
+a dual ball for bp, and for rr, en and the bpdn forms the rr duality gap
+of the rr instance each of them solves.
 A certified full support is a proof about the exact solution of that one
 instance; the fraction over instances stays an empirical estimate of the
 almost-everywhere statement.  Per-trial random streams derive from
@@ -207,28 +209,18 @@ def _certify_rr(A, y, p, lam, x) -> np.ndarray:
     return np.abs(t) - dt > norms * radius
 
 
-def _certify_en(A, y, p, r, lam1, lam2, x) -> np.ndarray:
-    m, N = A.shape
-    if not np.any(x):
-        return np.zeros(N, dtype=bool)
-    absA = np.abs(A)
-    resid = A @ x - y
-    data = A.T @ resid
-    fpow = pnorm.pnorm_pow(x, p)
-    coef = (r * lam1 / p) * fpow ** ((r - p) / p)
-    pen = coef * pnorm.pnorm_grad(x, p)
-    ridge = 2.0 * lam2 * x
-    grad = data + pen + ridge
-    d_resid = _gamma(N + 1) * (absA @ np.abs(x) + np.abs(y))
-    d_grad = (
-        absA.T @ d_resid + _gamma(m) * (absA.T @ np.abs(resid))
-        + (_gamma(N) * (1.0 + abs(r - p) / p) + 4.0 * _U * (3.0 + abs(np.log(coef)))) * np.abs(pen)
-        + _pow_err(pen)
-        + 4.0 * _U * (np.abs(data) + np.abs(pen) + np.abs(ridge))
-    )
-    # 2 lam2-strong convexity: ||x - x*|| <= ||grad P(x)|| / (2 lam2)
-    bound = (np.linalg.norm(grad) + np.linalg.norm(d_grad)) / (2.0 * lam2) * (1.0 + _gamma(N))
-    return np.abs(x) > bound
+def _rr_form(family, A, y, x, args, mu):
+    """(A, y, lam) of the rr instance that a smooth family's solution x solves
+    (certify_nonzero); lam = 0 where the multiplier mu proves nothing."""
+    if family == "rr":
+        return A, y, args["lam"]
+    if family == "en":
+        As, ys = solvers._augmented(A[None], y[None], args["lam2"])
+        coef = solvers._coef(x[None], args["p"], args["lam1"], args["r"])
+        return As[0], ys[0], float(np.ravel(coef)[0])
+    if mu is None or not float(mu) > 0.0:
+        return A, y, 0.0
+    return A, y, 1.0 / (2.0 * float(mu)) if family == "bpdn_eps" else float(mu)
 
 
 def certify_nonzero(inst: ProblemInstance, result: SolveResult) -> np.ndarray:
@@ -245,45 +237,49 @@ def certify_nonzero(inst: ProblemInstance, result: SolveResult) -> np.ndarray:
       ||A h(A^T nu) - y||_2 < rho * lambda_min(Q_lo), the dual optimum nu*
       lies in the ball B(nu, rho), and i is certified when
       |a_i^T nu| > ||a_i|| rho.  Any p > 1.
-    * rr (and the bpdn forms): the rr dual in theta is 1-strongly concave,
-      so ||theta - theta*||_2 <= sqrt(2 gap) at theta = y - A x, with the
-      duality gap written as a sum of Fenchel-Young gaps.  i is certified
-      when |a_i^T theta| > ||a_i|| sqrt(2 gap).  bpdn_eps and bpdn_eta
-      solutions solve rr at lam = 1/(2 mu) and lam = mu respectively; for
-      them the mask certifies the rr solution at the returned multiplier
-      mu, the reduction the paper's bpdn argument makes.  No multiplier or
-      mu = 0 certifies nothing.
-    * en: the objective is 2 lam2-strongly convex, so
-      ||x - x*||_2 <= ||grad P(x)||_2 / (2 lam2), and i is certified when
-      |x_i| exceeds that bound.
+    * rr, en and the bpdn forms, each as the rr instance (A, y, lam) its
+      solution solves: the rr dual in theta is 1-strongly concave, so
+      ||theta - theta*||_2 <= sqrt(2 gap) at theta = y - A x, with the
+      duality gap written as a sum of Fenchel-Young gaps, and i is
+      certified when |a_i^T theta| > ||a_i|| sqrt(2 gap).
+      - rr: (A, y, lam).
+      - bpdn_eps and bpdn_eta: (A, y, 1/(2 mu)) and (A, y, mu) at the
+        returned multiplier mu, the reduction the paper's bpdn argument
+        makes.
+      - en: (A*, y*, (r lam1 / p) ||x||_p^(r-p)) with A* = [A; sqrt(2 lam2) I]
+        and y* = [y; 0] (Zou & Hastie, J. R. Stat. Soc. B 2005, Lemma 1);
+        the lam is lam1 at r = p.  For r != p the mask certifies the en
+        instance whose lam1 makes the rr solution at that lam optimal.
+        That lam1 agrees with the given one to rounding, and so does the
+        lam2 that the rounded sqrt(2 lam2) encodes.
+      No multiplier, mu = 0, lam = 0 or x = 0 certifies nothing.  A
+      bpdn_eta row reduced to bp (eta at or above ||x_bp||_p) has mu = 0:
+      every x with A x = y and ||x||_p <= eta is then a minimizer, so no
+      coordinate is proven nonzero.
 
     Every computed quantity carries a first-order rounding allowance
     relative to its own magnitude (gamma_n = 2(n+2)u for length-n dot
     products, 4u(1 + |log r|) r for a power r), never an absolute floor,
-    so the mask does not change when A and y are rescaled.
+    so the mask does not change when A and y are rescaled.  An instance no
+    solver accepts raises InvalidInputError, as in kkt_residual.
     """
-    A, y = inst.A, inst.y
+    family = inst.family
+    if family not in GENERICITY_FAMILIES:
+        raise InvalidInputError(f"family {family!r} is not a genericity family {GENERICITY_FAMILIES}")
+    _, args = solvers._checked(family, vars(inst))
+    A, y, p = inst.A, inst.y, args["p"]
     N = A.shape[1]
     x = np.asarray(result.x, dtype=float).ravel()
     if x.shape[0] != N:
         raise InvalidInputError("solution dimension does not match the instance")
-    none = np.zeros(N, dtype=bool)
-    family = inst.family
     if family == "bp":
         if result.multiplier is None:
-            return none
-        return _certify_bp(A, y, inst.p, np.asarray(result.multiplier, dtype=float).ravel())
-    if family == "rr":
-        return _certify_rr(A, y, inst.p, inst.lam, x)
-    if family in ("bpdn_eps", "bpdn_eta"):
-        mu = result.multiplier
-        if mu is None or not float(mu) > 0.0:
-            return none
-        lam = 1.0 / (2.0 * float(mu)) if family == "bpdn_eps" else float(mu)
-        return _certify_rr(A, y, inst.p, lam, x)
-    if family == "en":
-        return _certify_en(A, y, inst.p, inst.r, inst.lam1, inst.lam2, x)
-    raise InvalidInputError(f"family {family!r} is not a genericity family {GENERICITY_FAMILIES}")
+            return np.zeros(N, dtype=bool)
+        return _certify_bp(A, y, p, np.asarray(result.multiplier, dtype=float).ravel())
+    A, y, lam = _rr_form(family, A, y, x, args, result.multiplier)
+    if not (lam > 0.0 and x.any()):
+        return np.zeros(N, dtype=bool)
+    return _certify_rr(A, y, p, lam, x)
 
 
 def certified_full_support(inst: ProblemInstance, result: SolveResult,

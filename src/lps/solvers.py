@@ -674,6 +674,14 @@ class _Rr(_Stack):
         return super().fallback(st, j, it)
 
 
+def _augmented(A, y, lam2):
+    """(A*, y*) = ([A; sqrt(2 lam2) I], [y; 0]) of every row: the data on which en
+    at lam2 is rr (Zou & Hastie, J. R. Stat. Soc. B 2005, Lemma 1)."""
+    B, m, N = A.shape
+    eye = np.broadcast_to(np.sqrt(2.0 * lam2) * np.eye(N), (B, N, N))
+    return np.concatenate([A, eye], axis=1), np.concatenate([y, np.zeros((B, N))], axis=1)
+
+
 def _reduced(A, e, lam2):
     """(D, I + A diag(D) A^T) with D = e / (1 + 2 lam2 e): the m x m Schur
     complement of I + A* diag(e) A*^T on its last N rows (A* = A at lam2 = 0)."""
@@ -682,9 +690,8 @@ def _reduced(A, e, lam2):
 
 
 class _RrResidual(_Rr):
-    """1 < p <= 2, r = p: x = h(A*^T w / lam) for rr on A* = [A; sqrt(2 lam2) I],
-    y* = [y; 0] (where en's stationarity is rr's: Zou & Hastie, J. R. Stat.
-    Soc. B 2005, Lemma 1), by Newton in the residual w = y* - A* x, its SPD
+    """1 < p <= 2, r = p: x = h(A*^T w / lam) for rr on (A*, y*) of _augmented
+    (A* = A at lam2 = 0), by Newton in the residual w = y* - A* x, its SPD
     Jacobian I + A* diag(h'/lam) A*^T solved through _reduced; merit |G(w)|^2."""
 
     var = "w"
@@ -692,11 +699,7 @@ class _RrResidual(_Rr):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.As, self.ys, (B, m, N) = self.A, self.y, self.A.shape
-        if self.lam2:
-            eye = np.broadcast_to(np.sqrt(2.0 * self.lam2) * np.eye(N), (B, N, N))
-            self.As = np.concatenate([self.A, eye], axis=1)
-            self.ys = np.concatenate([self.y, np.zeros((B, N))], axis=1)
+        self.As, self.ys = _augmented(self.A, self.y, self.lam2) if self.lam2 else (self.A, self.y)
 
     def _at(self, w, rows):
         A = self.As[rows]

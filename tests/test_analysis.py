@@ -491,20 +491,26 @@ class TestCertifiedSupport:
         np.testing.assert_array_equal(mask, k != 0.0)
         assert not analysis.certified_full_support(inst, res, 1e-6)
 
-    def _rr_instance_with_zero(self):
-        # theta = lam * 1.5 * theta_int with a_1^T theta = 0, x = h(A^T theta / lam)
-        # = sgn(k) k^2 and y = A x + theta solve rr exactly with x_1 = 0;
-        # theta_int has norm 5, so eps = ||theta|| is exact as well
-        lam = 0.5
+    def _integer_dual_with_zero(self):
+        # an integer theta_int of norm 5 and an integer A whose first column is
+        # orthogonal to it: k = A^T theta_int is an integer vector with k_1 = 0
         rng = ensembles.rng_for(32)
         theta_int = np.array([1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 0.0]) * rng.choice([-1.0, 1.0], 8)
         theta_int[0] = 1.0
         A = self._integer_matrix_orthogonal_first_column(rng, theta_int)
         k = A.T @ theta_int
+        assert k[0] == 0.0 and np.count_nonzero(k) >= 15
+        return A, theta_int, k
+
+    def _rr_instance_with_zero(self):
+        # theta = lam * 1.5 * theta_int with a_1^T theta = 0, x = h(A^T theta / lam)
+        # = sgn(k) k^2 and y = A x + theta solve rr exactly with x_1 = 0;
+        # theta_int has norm 5, so eps = ||theta|| is exact as well
+        lam = 0.5
+        A, theta_int, k = self._integer_dual_with_zero()
         x_exact = np.sign(k) * k * k
         theta = lam * 1.5 * theta_int
         y = A @ x_exact + theta
-        assert k[0] == 0.0 and np.count_nonzero(k) >= 15
         return A, y, lam, k, float(lam * 1.5 * 5.0)
 
     def test_rr_refuses_exact_zero(self):
@@ -526,6 +532,60 @@ class TestCertifiedSupport:
         mask = analysis.certify_nonzero(inst, res)
         np.testing.assert_array_equal(mask, k != 0.0)
         assert not analysis.certified_full_support(inst, res, 1e-6)
+
+    def test_en_refuses_exact_zero(self):
+        # at p = r = 2 and lam1 = lam2 = 0.25 en's stationarity is
+        # A^T (y - A x) = x, so x = A^T theta (an integer vector with x_1 = 0)
+        # and y = A x + theta solve en exactly
+        A, theta, x_exact = self._integer_dual_with_zero()
+        y = A @ x_exact + theta
+        inst = ProblemInstance(A, y, "en", p=2.0, r=2.0, lam1=0.25, lam2=0.25)
+        res = solve_instance(inst)
+        assert res.converged
+        mask = analysis.certify_nonzero(inst, res)
+        np.testing.assert_array_equal(mask, x_exact != 0.0)
+        assert not analysis.certified_full_support(inst, res, 1e-6)
+
+    @staticmethod
+    def _en_rows_certified(A, y, p, r):
+        """An en stack whose 48 rows converge with a coordinate under 1e-6:
+        each is certified full support, as rr on (A*, y*)."""
+        rows = solvers.solve_stack("en", A, y, p, r=r, lam1=0.1, lam2=0.1)
+        for k, res in enumerate(rows):
+            assert res.converged and support(res.x, 1e-6).size < 20, k
+            inst = ProblemInstance(A[k], y[k], "en", p=p, r=r, lam1=0.1, lam2=0.1)
+            assert analysis.certified_full_support(inst, res, 1e-6), k
+
+    @pytest.mark.parametrize("p", [1.02, 1.05])
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_en_near_one_certified(self, p, r):
+        # the baseline set of 48 Gaussian 8x20 instances
+        rng = np.random.default_rng(11)
+        self._en_rows_certified(rng.normal(size=(48, 8, 20)), rng.normal(size=(48, 8)), p, r)
+
+    def test_en_column_scaled_certified(self):
+        # columns of A scaled by 10^U(-3, 3)
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((48, 8, 20)) * 10.0 ** rng.uniform(-3, 3, (48, 1, 20))
+        self._en_rows_certified(A, rng.standard_normal((48, 8)), 1.2, 1.0)
+
+    def test_reduced_bpdn_eta_certifies_nothing(self):
+        # eta above ||x_bp||_p: every x with A x = y and ||x||_p <= eta is a
+        # minimizer, the multiplier is 0 and no coordinate is proven nonzero
+        A, y = ensembles.gen_gaussian_instance(ensembles.EnsembleSpec(m=4, N=10, seed=34))
+        eta = 2.0 * pnorm.pnorm(solve_bp(A, y, 1.5).x, 1.5)
+        inst = ProblemInstance(A, y, "bpdn_eta", p=1.5, eta=eta)
+        res = solve_instance(inst)
+        assert res.converged and res.reduced_to_bp and res.multiplier == 0.0
+        assert not analysis.certify_nonzero(inst, res).any()
+
+    @pytest.mark.parametrize("params", [{}, {"lam": -0.1}])
+    def test_rejects_invalid_instance(self, params):
+        # validated as kkt_residual validates: no lam, or lam <= 0, proves nothing
+        A, y = ensembles.gen_gaussian_instance(ensembles.EnsembleSpec(m=4, N=10, seed=34))
+        res = solve_rr(A, y, 1.5, 0.1)
+        with pytest.raises(InvalidInputError):
+            analysis.certify_nonzero(ProblemInstance(A, y, "rr", p=1.5, **params), res)
 
     @pytest.mark.parametrize("scale", [1.0, 1e6, 1e-6])
     def test_recorded_subthreshold_trial_certified(self, scale):

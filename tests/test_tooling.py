@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/spans.py) still finds every name it hooks in lps.
 
 The traced benchmark run prints no result when a hooked name is gone, so a
-rename inside lps.solvers (_rr_core, its np or scipy module names) shows here.
+rename inside lps.solvers (_rr_core, its np or scipy module names) shows here,
+and so does a certificate that lps.analysis no longer calls by its module name.
 """
 
 import importlib.util
@@ -10,6 +11,7 @@ import pathlib
 import numpy as np
 
 import lps.analysis
+import lps.ensembles
 import lps.solvers
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -39,3 +41,20 @@ def test_tracer_installs_and_removes():
         tracer.remove()
     assert all(getattr(lps.solvers, name) is before[name] for name in hooked)
     assert lps.analysis.ProcessPoolExecutor is pool
+
+
+def test_certificate_counts_one_span():
+    # criterion 8's trial 77 (bp, p = 1.5) has a coordinate under 1e-6, so
+    # certifying it calls certify_nonzero once, through lps.analysis
+    seed = lps.ensembles.derive_seed(20260816, 0, 77)
+    A, y, _, _ = lps.ensembles.gen_sparse_measured(
+        lps.ensembles.EnsembleSpec(m=8, N=21, seed=seed, sparsity=2))
+    inst = lps.solvers.ProblemInstance(A, y, "bp", p=1.5)
+    res = lps.solvers.solve_instance(inst)
+    tracer = _spans().Tracer()
+    tracer.install()
+    try:
+        assert lps.analysis.certified_full_support(inst, res)
+        assert tracer.calls("certify_nonzero") == 1
+    finally:
+        tracer.remove()
