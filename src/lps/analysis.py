@@ -28,7 +28,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import pnorm, solvers
-from .ensembles import EnsembleSpec, derive_seed, gen_gaussian_instance, gen_sparse_measured, rng_for
+from .ensembles import (  # EnsembleSpec, derive_seed and the gen_* stay importable here for callers
+    SIGNAL_VALUES,
+    EnsembleSpec,
+    derive_seed,
+    derive_seeds,
+    draw_instance,
+    gen_gaussian_instance,
+    gen_sparse_measured,
+    philox_keys,
+    rekey,
+    rng_for,
+)
 from .errors import InvalidInputError
 from .solvers import (  # kkt_residual and solve_bp stay importable here for callers that wrap them
     CONVERGED,
@@ -87,23 +98,39 @@ def support(x, tol: float = DEFAULT_SUPPORT_TOL) -> SupportReport:
     The zero vector has empty support.  min_rel_magnitude is the smallest
     |x_i| / ||x||_inf over the reported support (0 for x = 0).
     """
+    above, size, magnitude = _measure_one(x, tol)
+    return SupportReport(tuple(np.flatnonzero(above).tolist()), size, magnitude, tol)
+
+
+def _measure(X: np.ndarray, tol: float):
+    """Each row x of X (B, N) at a relative threshold, as arrays over the rows:
+    (above, size, min_rel_magnitude, min_rel_nonzero).
+
+    With rel = |x| / ||x||_inf (rel = |x| where ||x||_inf is 0 or NaN; an inf
+    entry makes its own rel NaN), above is rel > tol, size counts it,
+    min_rel_magnitude is the smallest rel over above and min_rel_nonzero the
+    smallest over rel > 0, each 0 where its set is empty.
+    """
+    a = np.abs(X)
+    amax = a.max(axis=1, keepdims=True, initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        rel = np.divide(a, amax, out=a, where=amax > 0.0)
+    above = rel > tol
+    nonzero = rel > 0.0
+    size = above.sum(axis=1)
+    magnitude = np.where(above, rel, np.inf).min(axis=1)
+    smallest = np.where(nonzero, rel, np.inf).min(axis=1)
+    magnitude[size == 0] = 0.0
+    smallest[~nonzero.any(axis=1)] = 0.0
+    return above, size, magnitude, smallest
+
+
+def _measure_one(x, tol: float):
+    """(above, size, min_rel_magnitude) of _measure for the one vector x, tol checked."""
     if not (0.0 <= tol < 1.0):
         raise InvalidInputError(f"support tol must lie in [0, 1), got {tol}")
-    return _support(_relative(x), tol)
-
-
-def _relative(x) -> np.ndarray:
-    """|x_i| / ||x||_inf, all zeros for x = 0."""
-    a = np.abs(np.asarray(x, dtype=float).ravel())
-    amax = a.max(initial=0.0)
-    return a / amax if amax > 0.0 else a
-
-
-def _support(rel: np.ndarray, tol: float) -> SupportReport:
-    idx = np.flatnonzero(rel > tol)
-    if not idx.size:
-        return SupportReport((), 0, 0.0, tol)
-    return SupportReport(tuple(idx.tolist()), int(idx.size), float(rel[idx].min()), tol)
+    above, size, magnitude, _ = _measure(np.asarray(x, dtype=float).reshape(1, -1), tol)
+    return above[0], int(size[0]), float(magnitude[0])
 
 
 def check_lower_bound(report: SupportReport, m: int, N: int) -> bool:
@@ -289,18 +316,18 @@ def certified_full_support(inst: ProblemInstance, result: SolveResult,
     The certificate runs only for a converged result with a coordinate under
     the threshold.
     """
-    return _certified(inst, result, support(result.x, tol))
+    above, size, _ = _measure_one(result.x, tol)
+    return _certified(inst, result, above, size)
 
 
-def _certified(inst: ProblemInstance, result: SolveResult, rep: SupportReport) -> bool:
-    n = inst.A.shape[1]
-    if rep.size == n:
+def _certified(inst: ProblemInstance, result: SolveResult, above: np.ndarray, size: int) -> bool:
+    """certified_full_support, given the mask of coordinates over the threshold
+    and its count."""
+    if size == above.shape[0]:
         return True
     if result.status != CONVERGED:
         return False
-    below = np.ones(n, dtype=bool)
-    below[list(rep.indices)] = False
-    return bool(certify_nonzero(inst, result)[below].all())
+    return bool(certify_nonzero(inst, result)[~above].all())
 
 
 def _real(v) -> bool:
@@ -348,6 +375,8 @@ class ExperimentConfig:
                 raise InvalidInputError(f"{name} must lie in (0, 1), got {v!r}")
         if self.sparsity is not None and not (1 <= self.sparsity <= self.N):
             raise InvalidInputError("sparsity must satisfy 1 <= s <= N")
+        if self.signal_values not in SIGNAL_VALUES:
+            raise InvalidInputError(f"unsupported signal_values {self.signal_values!r}")
 
 
 @dataclass
@@ -446,30 +475,21 @@ def _failure_record(cfg, p, trial, seed, exc) -> TrialRecord:
     )
 
 
-def _spec(cfg: ExperimentConfig, seed: int) -> EnsembleSpec:
-    return EnsembleSpec(m=cfg.m, N=cfg.N, seed=seed,
-                        sparsity=cfg.sparsity, signal_values=cfg.signal_values)
-
-
-def _instance(cfg: ExperimentConfig, A, y, p: float) -> ProblemInstance:
-    """A trial's instance: p and the parameters its family takes, as cfg holds
+def _params(cfg: ExperimentConfig, p: float) -> dict:
+    """A trial instance's p and the parameters its family takes, as cfg holds
     them (cfg holds no bpdn bound: each trial sets its own eps or eta)."""
-    names = solvers.FAMILIES[cfg.family].params
-    return ProblemInstance(A, y, cfg.family, p=p, **{k: getattr(cfg, k, None) for k in names})
+    return dict(p=p, **{k: getattr(cfg, k, None) for k in solvers.FAMILIES[cfg.family].params})
 
 
-def _draw(cfg: ExperimentConfig, p: float, seed: int):
-    """One trial's instance and planted signal (None for a Gaussian draw).
+def _draw(cfg: ExperimentConfig, params: dict, rng: np.random.Generator):
+    """One trial's instance and planted signal (None for a Gaussian draw), from
+    the trial's generator.
 
     A bpdn_eps trial's eps is a fraction of ||y||_2.  A bpdn_eta trial's eta
     needs its bp solution; _eta_targets sets it.
     """
-    spec = _spec(cfg, seed)
-    if cfg.sparsity is None:
-        (A, y), x0 = gen_gaussian_instance(spec), None
-    else:
-        A, y, x0, _ = gen_sparse_measured(spec)
-    inst = _instance(cfg, A, y, p)
+    A, y, x0, _ = draw_instance(rng, cfg.m, cfg.N, cfg.sparsity, cfg.signal_values)
+    inst = ProblemInstance(A, y, cfg.family, **params)
     if cfg.family == "bpdn_eps":
         inst.eps = (cfg.epsilon_fraction or DEFAULT_EPSILON_FRACTION) * float(np.linalg.norm(y))
     return inst, x0
@@ -526,23 +546,20 @@ def _eta_targets(cfg: ExperimentConfig, p: float, drawn: list, solver_cfg: Solve
     return out
 
 
-def _record(cfg, p, trial, seed, inst, x0, res) -> TrialRecord:
-    """A solved trial's record: for a recovery family whether it recovered the
-    planted x0, else its certified support and any bpdn constraint."""
-    rel = _relative(res.x)
-    rep = _support(rel, cfg.support_tol)
-    nonzero = rel[rel > 0.0]
+def _record(cfg, p, trial, seed, inst, x0, res, above, size, magnitude, smallest) -> TrialRecord:
+    """A solved trial's record from its row of the chunk's _measure: for a
+    recovery family whether it recovered the planted x0, else its certified
+    support and any bpdn constraint."""
     rec = TrialRecord(
         trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
-        support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
+        support_size=size, min_rel_magnitude=magnitude,
         kkt_residual=res.kkt_residual, iterations=res.iterations, status=res.status,
-        wall_time_ms=0.0, full_support=rep.size == cfg.N,
-        min_rel_nonzero=float(nonzero.min()) if nonzero.size else 0.0,
+        wall_time_ms=0.0, full_support=size == cfg.N, min_rel_nonzero=smallest,
     )
     if cfg.family in RECOVERY_FAMILIES:
         rec.recovered = bool(np.abs(res.x - x0).max() <= RECOVERY_TOL)
         return rec
-    rec.full_support_certified = _certified(inst, res, rep)
+    rec.full_support_certified = _certified(inst, res, above, size)
     if cfg.family == "bpdn_eps":
         rec.constraint_target = inst.eps
         rec.constraint_value = float(np.linalg.norm(inst.A @ res.x - inst.y))
@@ -554,22 +571,32 @@ def _record(cfg, p, trial, seed, inst, x0, res) -> TrialRecord:
 
 
 def _chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
-    """Trials lo..hi-1 at p_grid[p_index]: draw each, solve them, measure each.
+    """Trials lo..hi-1 at p_grid[p_index]: seed all, draw each, solve them, measure all.
 
-    A trial whose draw, solve or measurement raises gets a status="error"
-    record that keeps the exception; the other trials are unaffected.
-    wall_time_ms is a trial's own draw and measurement time plus its solve
-    time as _solve_chunk charges it (and, for bpdn_eta, its share of the bp
-    solve that sets the targets).
+    The trials' seeds and Philox keys are hashed in one pass (derive_seeds,
+    philox_keys) and each trial draws from one re-keyed generator, exactly
+    what rng_for(derive_seed(master_seed, p_index, trial)) draws.  The
+    solutions are measured as one array (_measure).  A trial whose draw,
+    solve or record raises gets a status="error" record that keeps the
+    exception; the other trials are unaffected.  wall_time_ms is a trial's
+    own draw and record time, plus an equal share of the chunk's seed
+    hashing and measurement, plus its solve time as _solve_chunk charges it
+    (and, for bpdn_eta, its share of the bp solve that sets the targets).
     """
     p = cfg.p_grid[p_index]
+    params = _params(cfg, p)
     solver_cfg = SolverConfig()
+    n = hi - lo
+    start = time.perf_counter()
+    seeds = derive_seeds(cfg.master_seed, p_index, np.arange(lo, hi))
+    keys = philox_keys(seeds)
+    rng = np.random.Generator(np.random.Philox(key=keys[0]))
+    shared_ms = (time.perf_counter() - start) * 1e3 / n
     drawn = []
-    for trial in range(lo, hi):
-        seed = derive_seed(cfg.master_seed, p_index, trial)
+    for trial, seed, key in zip(range(lo, hi), seeds.tolist(), keys):
         start = time.perf_counter()
         try:
-            inst, x0 = _draw(cfg, p, seed)
+            inst, x0 = _draw(cfg, params, rekey(rng, key))
         except InvalidInputError:
             raise
         except Exception as exc:
@@ -578,18 +605,26 @@ def _chunk(cfg: ExperimentConfig, p_index: int, lo: int, hi: int) -> list:
     if cfg.family == "bpdn_eta":
         drawn = _eta_targets(cfg, p, drawn, solver_cfg)
     solved = _solve_chunk(cfg.family, p, [d[2] for d in drawn], solver_cfg)
+    start = time.perf_counter()
+    X = np.zeros((n, cfg.N))
+    for k, (res, _) in enumerate(solved):
+        if not isinstance(res, Exception):
+            X[k] = res.x
+    above, *columns = _measure(X, cfg.support_tol)
+    rows = zip(above, *(c.tolist() for c in columns))
+    shared_ms += (time.perf_counter() - start) * 1e3 / n
     records = []
-    for (trial, seed, inst, x0, draw_ms), (res, solve_ms) in zip(drawn, solved):
+    for (trial, seed, inst, x0, draw_ms), (res, solve_ms), row in zip(drawn, solved, rows):
         start = time.perf_counter()
         try:
             if isinstance(res, Exception):
                 raise res
-            rec = _record(cfg, p, trial, seed, inst, x0, res)
+            rec = _record(cfg, p, trial, seed, inst, x0, res, *row)
         except InvalidInputError:
             raise
         except Exception as exc:
             rec = _failure_record(cfg, p, trial, seed, exc)
-        rec.wall_time_ms = draw_ms + solve_ms + (time.perf_counter() - start) * 1e3
+        rec.wall_time_ms = shared_ms + draw_ms + solve_ms + (time.perf_counter() - start) * 1e3
         records.append(rec)
     return records
 

@@ -4,6 +4,13 @@ Sampling uses the Philox counter-based generator so every draw is a pure
 function of the seed: identical specs give bit-identical instances on any
 machine and in any execution order.  "Almost all (A, y)" statements are
 operationalized as i.i.d. standard Gaussian sampling.
+
+The seed rule is the public contract: a trial's seed is
+derive_seed(master_seed, p_index, trial), and its instance is drawn from
+rng_for(seed), both through numpy's SeedSequence.  derive_seeds and
+philox_keys compute the same seeds and Philox keys for a whole array of
+trials at once, with numpy's SeedSequence hash written out over arrays;
+tests check them against derive_seed and SeedSequence.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ __all__ = [
     "EnsembleSpec",
     "rng_for",
     "derive_seed",
+    "derive_seeds",
+    "philox_keys",
+    "rekey",
+    "draw_instance",
     "gen_gaussian_instance",
     "gen_sparse_measured",
     "is_in_set_S",
@@ -58,23 +69,153 @@ def rng_for(*keys: int) -> np.random.Generator:
     """Counter-based generator keyed by a tuple of integers.
 
     Distinct key tuples give statistically independent streams; equal keys
-    give bit-identical streams, independent of call order.
+    give bit-identical streams, independent of call order.  The generator is
+    Philox keyed by SeedSequence(keys).generate_state(2, uint64).
     """
     ss = np.random.SeedSequence([int(k) for k in keys])
     return np.random.Generator(np.random.Philox(ss))
 
 
 def derive_seed(*keys: int) -> int:
-    """A stable 64-bit seed derived from a tuple of integers."""
+    """A stable 64-bit seed derived from a tuple of integers:
+    SeedSequence(keys).generate_state(1, uint64)."""
     ss = np.random.SeedSequence([int(k) for k in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) over uint32 arrays,
+# one column per row of entropy
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_MAX_WORDS = 8  # entropy words per row: derive_seeds needs at most 6
+
+
+def _hash_constants(init: int, mult: int, n: int):
+    """(xor, mul) as (n, 1) uint32 columns: the i-th hashmix xors with the
+    i-th constant and multiplies by the next; each is the last times mult."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    c = np.array(c, dtype=np.uint32)[:, None]
+    return c[:-1], c[1:]
+
+
+_MIX_XOR, _MIX_MUL = _hash_constants(0x43B0D7E5, 0x931E8875,
+                                     _POOL_SIZE * _MAX_WORDS)  # 4 + 12 + 4 (words - 4)
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(value, xor, mul):
+    value = (value ^ xor) * mul
+    return value ^ value >> _SHIFT
+
+
+def _mix(x, y):
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ r >> _SHIFT
+
+
+def _pool(words: np.ndarray) -> np.ndarray:
+    """SeedSequence's 4-word pool, (4, B), from (L, B) uint32 entropy words.
+
+    Each mixing step that reads one pool word into the other three is one
+    array operation: the three hashmix constants are consecutive.
+    """
+    fill = np.zeros((max(_POOL_SIZE - len(words), 0), words.shape[1]), dtype=np.uint32)
+    pool = _hashmix(np.vstack([words[:_POOL_SIZE], fill]), _MIX_XOR[:4], _MIX_MUL[:4])
+    i = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _MIX_XOR[i:i + 3], _MIX_MUL[i:i + 3]))
+        i += 3
+    for word in words[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, _MIX_XOR[i:i + 4], _MIX_MUL[i:i + 4]))
+        i += 4
+    return pool
+
+
+def _seed_sequence_state(columns: list, n: int) -> np.ndarray:
+    """SeedSequence([c[k] for c in columns]).generate_state(n, uint64) for each
+    row k, as a (B, n) uint64 array (n <= 4).
+
+    SeedSequence splits each integer into its little-endian 32-bit words, one
+    word for values under 2^32 and two above, so rows are hashed in groups
+    of equal word layout.
+    """
+    wide = sum((c > np.uint64(_MASK32)).astype(np.intp) << j for j, c in enumerate(columns))
+    out = np.empty((len(wide), n), dtype=np.uint64)
+    cycle = np.arange(2 * n) % _POOL_SIZE
+    for layout in np.unique(wide).tolist():
+        rows = np.flatnonzero(wide == layout)
+        words = []
+        for j, c in enumerate(columns):
+            c = c[rows]
+            words.append(c.astype(np.uint32))
+            if layout >> j & 1:
+                words.append((c >> np.uint64(32)).astype(np.uint32))
+        state = _hashmix(_pool(np.array(words))[cycle], _STATE_XOR[:2 * n],
+                         _STATE_MUL[:2 * n]).astype(np.uint64)
+        out[rows] = (state[0::2] | state[1::2] << np.uint64(32)).T
+    return out
+
+
+def derive_seeds(master_seed: int, p_index: int, trials) -> np.ndarray:
+    """derive_seed(master_seed, p_index, t) for each t in trials, as uint64."""
+    trials = np.asarray(trials, dtype=np.uint64)
+    columns = [np.full(trials.shape, int(k), dtype=np.uint64) for k in (master_seed, p_index)]
+    return _seed_sequence_state(columns + [trials], 1)[:, 0]
+
+
+def philox_keys(seeds) -> np.ndarray:
+    """The Philox key of rng_for(s) for each seed s: rows of
+    SeedSequence([s]).generate_state(2, uint64)."""
+    return _seed_sequence_state([np.asarray(seeds, dtype=np.uint64)], 2)
+
+
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def rekey(rng: np.random.Generator, key) -> np.random.Generator:
+    """rng, a Philox generator, reset to the start of the stream of `key`.
+
+    With key = philox_keys([s])[0] it then draws exactly what rng_for(s)
+    draws.  Re-keying one generator per trial spares building a
+    SeedSequence and a Philox for each.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
+def draw_instance(rng: np.random.Generator, m: int, N: int, sparsity: Optional[int] = None,
+                  signal_values: str = "pm_one"):
+    """(A, y, x0, support) drawn from rng: i.i.d. standard normal A (m x N), then
+    either a standard normal y (sparsity None; x0 and support None) or
+    y = A x0 for an s-sparse x0 on a uniformly random sorted support, with
+    random signs and unit (or, for "gaussian" signal_values, half-normal)
+    magnitudes.  The one draw behind gen_gaussian_instance,
+    gen_sparse_measured and the experiment harness.
+    """
+    A = rng.standard_normal((m, N))
+    if sparsity is None:
+        return A, rng.standard_normal(m), None, None
+    support = np.sort(rng.choice(N, size=sparsity, replace=False))
+    x0 = np.zeros(N)
+    signs = rng.integers(0, 2, size=sparsity) * 2.0 - 1.0
+    if signal_values == "gaussian":
+        x0[support] = signs * np.abs(rng.standard_normal(sparsity))
+    else:
+        x0[support] = signs
+    return A, A @ x0, x0, support
+
+
 def gen_gaussian_instance(spec: EnsembleSpec):
     """I.i.d. standard normal (A, y) drawn deterministically from spec.seed."""
-    rng = rng_for(spec.seed)
-    A = rng.standard_normal((spec.m, spec.N))
-    y = rng.standard_normal(spec.m)
+    A, y, _, _ = draw_instance(rng_for(spec.seed), spec.m, spec.N)
     return A, y
 
 
@@ -87,17 +228,7 @@ def gen_sparse_measured(spec: EnsembleSpec):
     """
     if spec.sparsity is None:
         raise InvalidInputError("gen_sparse_measured needs spec.sparsity")
-    rng = rng_for(spec.seed)
-    A = rng.standard_normal((spec.m, spec.N))
-    support = np.sort(rng.choice(spec.N, size=spec.sparsity, replace=False))
-    x0 = np.zeros(spec.N)
-    signs = rng.integers(0, 2, size=spec.sparsity) * 2.0 - 1.0
-    if spec.signal_values == "gaussian":
-        x0[support] = signs * np.abs(rng.standard_normal(spec.sparsity))
-    else:
-        x0[support] = signs
-    y = A @ x0
-    return A, y, x0, support
+    return draw_instance(rng_for(spec.seed), spec.m, spec.N, spec.sparsity, spec.signal_values)
 
 
 def _check_subset_count(n: int, k: int) -> int:

@@ -141,42 +141,42 @@ class TestGenericityExperiment:
             )
 
 
+def _fields(rec):
+    d = dict(vars(rec))
+    d.pop("wall_time_ms")
+    return d
+
+
 class TestTrialFailures:
     """A trial that raises gets its own error record; its chunk is otherwise unchanged."""
-
-    @staticmethod
-    def _fields(rec):
-        d = dict(vars(rec))
-        d.pop("wall_time_ms")
-        return d
 
     @pytest.mark.parametrize("family", ["bp", "rr", "bpdn_eps", "bpdn_eta"])
     @pytest.mark.parametrize("stage", ["gen_gaussian_instance", "_certified"])
     def test_failure_isolated(self, monkeypatch, family, stage):
-        # a fault in the draw, or in the measurement that runs on every trial
+        # a fault in the Gaussian draw (draw_instance, the body that
+        # gen_gaussian_instance shares with the harness), or in the
+        # measurement that runs on every trial
         cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(1.5,))
         clean = analysis.run_genericity_experiment(cfg).trials
         bad_seed = clean[3].seed
         bad_y = analysis.gen_gaussian_instance(ensembles.EnsembleSpec(m=4, N=9, seed=bad_seed))[1]
-        inner = getattr(analysis, stage)
+        target = "draw_instance" if stage == "gen_gaussian_instance" else stage
+        inner = getattr(analysis, target)
 
-        def faulty(arg, *rest):
-            if stage == "gen_gaussian_instance":
-                hit = arg.seed == bad_seed
-            else:
-                hit = np.array_equal(arg.y, bad_y)
-            if hit:
+        def faulty(*args):
+            out = inner(*args)
+            if np.array_equal(out[1] if stage == "gen_gaussian_instance" else args[0].y, bad_y):
                 raise ZeroDivisionError("boom")
-            return inner(arg, *rest)
+            return out
 
-        monkeypatch.setattr(analysis, stage, faulty)
+        monkeypatch.setattr(analysis, target, faulty)
         stats = analysis.run_genericity_experiment(cfg)
         for rec, ref in zip(stats.trials, clean):
             if rec.seed == bad_seed:
                 assert rec.status == "error"
                 assert rec.error == "ZeroDivisionError: boom"
             else:
-                assert self._fields(rec) == self._fields(ref)
+                assert _fields(rec) == _fields(ref)
         assert stats.cells[0].failures == 1
 
     @pytest.mark.parametrize("family,status", [("bp", "infeasible"), ("bpdn_eps", "degenerate"),
@@ -204,7 +204,7 @@ class TestTrialFailures:
                 assert (rec.status, rec.kkt_residual, rec.error) == (status, np.inf, None)
                 assert rec.multiplier_value is None
             else:
-                assert self._fields(rec) == self._fields(ref)
+                assert _fields(rec) == _fields(ref)
         assert stats.cells[0].failures == 1
 
     def test_bp_target_failure_isolated(self, monkeypatch):
@@ -231,18 +231,20 @@ class TestTrialFailures:
                 assert rec.error == "ZeroDivisionError: boom"
                 assert rec.constraint_target is None
             else:
-                assert self._fields(rec) == self._fields(ref)
+                assert _fields(rec) == _fields(ref)
         assert stats.cells[0].failures == 1
 
     @pytest.mark.parametrize("family,p", [("bp_l1", 1.0), ("rr_irls", 0.5)])
     @pytest.mark.parametrize("stage", ["solve_instance", "_support"])
     def test_recovery_failure_isolated(self, monkeypatch, family, p, stage):
         # a recovery trial is solved alone; a fault in its solve or its
-        # measurement stays in that trial
+        # measurement (_record, which reads the trial's row of the chunk's
+        # support measurement) stays in that trial
         cfg = ExperimentConfig(family=family, m=4, N=9, trials=6, master_seed=21, p_grid=(p,),
                                sparsity=2)
         clean = analysis.run_recovery_comparison(cfg)
-        inner = getattr(analysis, stage)
+        target = "_record" if stage == "_support" else stage
+        inner = getattr(analysis, target)
         calls = []
 
         def faulty(*args):
@@ -251,7 +253,7 @@ class TestTrialFailures:
                 raise ZeroDivisionError("boom")
             return inner(*args)
 
-        monkeypatch.setattr(analysis, stage, faulty)
+        monkeypatch.setattr(analysis, target, faulty)
         stats = analysis.run_recovery_comparison(cfg)
         assert len(calls) == cfg.trials
         for rec, ref in zip(stats.trials, clean.trials):
@@ -259,8 +261,150 @@ class TestTrialFailures:
                 assert (rec.status, rec.error) == ("error", "ZeroDivisionError: boom")
                 assert rec.recovered is None
             else:
-                assert self._fields(rec) == self._fields(ref)
+                assert _fields(rec) == _fields(ref)
         assert stats.cells[0].failures == clean.cells[0].failures + 1
+
+
+def _scalar_measure(x, tol):
+    """One vector's support indices, min_rel_magnitude and min_rel_nonzero,
+    computed on their own (rel = |x| / max|x|, or |x| where max|x| is 0 or NaN)."""
+    a = np.abs(np.asarray(x, dtype=float))
+    amax = a.max(initial=0.0)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        rel = a / amax if amax > 0.0 else a
+    idx = np.flatnonzero(rel > tol)
+    nonzero = rel[rel > 0.0]
+    return (tuple(idx.tolist()), float(rel[idx].min()) if idx.size else 0.0,
+            float(nonzero.min()) if nonzero.size else 0.0)
+
+
+class TestArrayRecord:
+    """A chunk's records come from one array measurement of its solutions."""
+
+    EDGE = [
+        [0.0, 0.0, 0.0, 0.0, 0.0],                # x = 0
+        [0.0, 2.0, 0.0, -1e-9, 0.5],              # exact zeros and a sub-threshold entry
+        [1.0, np.nan, 3.0, 0.0, 2.0],             # a failed solve: NaN
+        [np.inf, 1.0, 0.0, -2.0, 1e-12],          # +inf
+        [1.0, -np.inf, 0.0, 2.0, 3.0],            # -inf
+        [np.nan, np.inf, 1.0, 0.0, 1e-9],         # both
+        [-0.7, 0.7, 0.7, -0.7, 0.7],              # all |x_i| equal
+        [5e-324, 1.0, -1e-300, 3.0, 4e-6],        # subnormal, tiny and just over 1e-6 * max
+    ]
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    def test_rows_match_support(self, tol):
+        X = np.array(self.EDGE)
+        above, size, magnitude, smallest = analysis._measure(X, tol)
+        for k, x in enumerate(X):
+            indices, mag, nonzero = _scalar_measure(x, tol)
+            rep = support(x, tol)
+            assert rep == SupportReport(indices, len(indices), mag, tol), k
+            assert tuple(np.flatnonzero(above[k]).tolist()) == indices, k
+            assert (size[k], magnitude[k], smallest[k]) == (len(indices), mag, nonzero), k
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.0])
+    @pytest.mark.parametrize("family", ["bp", "rr", "bpdn_eps"])
+    def test_edge_solutions_recorded_as_per_trial(self, monkeypatch, family, tol):
+        # the solutions of some trials replaced by edge vectors (converged for
+        # the finite ones, so their certificate runs): every record equals the
+        # one support() and certified_full_support() give for that trial alone
+        cfg = ExperimentConfig(family=family, m=3, N=5, trials=12, master_seed=2 ** 40 + 3,
+                               p_grid=(1.5,), support_tol=tol)
+        edge = {2 + k: np.array(x) for k, x in enumerate(self.EDGE)}
+        inner = solvers.solve_stack
+        seen = {}
+
+        def with_edges(fam, A, y, *rest, **params):
+            out = inner(fam, A, y, *rest, **params)
+            if fam != family:
+                return out
+            for k, x in edge.items():
+                status = "converged" if np.isfinite(x).all() else "max_iter"
+                out[k] = dataclasses.replace(out[k], x=x, status=status)
+                seen[k] = (A[k], y[k], params, out[k])
+            return out
+
+        monkeypatch.setattr(solvers, "solve_stack", with_edges)
+        stats = analysis.run_genericity_experiment(cfg)
+        for k, (A, y, params, res) in seen.items():
+            rec = stats.trials[k]
+            rep = support(res.x, tol)
+            inst = ProblemInstance(A, y, family, p=1.5, lam=params.get("lam"),
+                                   eps=params["eps"][k] if "eps" in params else None)
+            assert (rec.status, rec.support_size, rec.min_rel_magnitude, rec.full_support) == (
+                res.status, rep.size, rep.min_rel_magnitude, rep.size == cfg.N), k
+            assert rec.min_rel_nonzero == _scalar_measure(res.x, tol)[2], k
+            assert rec.full_support_certified == analysis.certified_full_support(inst, res, tol), k
+        assert len(seen) == len(edge)
+
+
+def _rebuilt(cfg: ExperimentConfig) -> list:
+    """cfg's trial records rebuilt one trial at a time from the public seed rule,
+    generators, solvers and support measures."""
+    recovery = cfg.family in analysis.RECOVERY_FAMILIES
+    names = solvers.FAMILIES[cfg.family].params
+    out = []
+    for p_index, p in enumerate(cfg.p_grid):
+        for trial in range(cfg.trials):
+            seed = ensembles.derive_seed(cfg.master_seed, p_index, trial)
+            spec = ensembles.EnsembleSpec(m=cfg.m, N=cfg.N, seed=seed, sparsity=cfg.sparsity,
+                                          signal_values=cfg.signal_values)
+            if cfg.sparsity is None:
+                (A, y), x0 = ensembles.gen_gaussian_instance(spec), None
+            else:
+                A, y, x0, _ = ensembles.gen_sparse_measured(spec)
+            params = {k: getattr(cfg, k, None) for k in names}
+            if cfg.family == "bpdn_eps":
+                params["eps"] = 0.1 * float(np.linalg.norm(y))
+            if cfg.family == "bpdn_eta":
+                params["eta"] = 0.5 * pnorm.pnorm(solvers.solve_bp(A, y, p).x, p)
+            inst = ProblemInstance(A, y, cfg.family, p=p, **params)
+            if recovery:
+                res = solve_instance(inst)
+            else:
+                res = solvers.solve_stack(cfg.family, A[None], y[None], p, **params)[0]
+            rep = support(res.x, cfg.support_tol)
+            rec = analysis.TrialRecord(
+                trial=trial, seed=seed, m=cfg.m, N=cfg.N, p=p, family=cfg.family,
+                support_size=rep.size, min_rel_magnitude=rep.min_rel_magnitude,
+                kkt_residual=res.kkt_residual, iterations=res.iterations, status=res.status,
+                wall_time_ms=0.0, full_support=rep.size == cfg.N,
+                min_rel_nonzero=_scalar_measure(res.x, cfg.support_tol)[2])
+            if recovery:
+                rec.recovered = bool(np.abs(res.x - x0).max() <= analysis.RECOVERY_TOL)
+            else:
+                rec.full_support_certified = analysis.certified_full_support(
+                    inst, res, cfg.support_tol)
+            if cfg.family == "bpdn_eps":
+                rec.constraint_target = params["eps"]
+                rec.constraint_value = float(np.linalg.norm(A @ res.x - y))
+            elif cfg.family == "bpdn_eta":
+                rec.constraint_target, rec.constraint_value = params["eta"], pnorm.pnorm(res.x, p)
+            if rec.constraint_target is not None and res.multiplier is not None:
+                rec.multiplier_value = float(res.multiplier)
+            out.append(rec)
+    return out
+
+
+@pytest.mark.parametrize("family,p_grid,extra", [
+    ("bp", (1.5, 3.0), {}),
+    ("bp", (2.0,), {"sparsity": 2, "signal_values": "gaussian"}),
+    ("rr", (1.2, 4.5), {}),
+    ("en", (1.5, 3.0), {"r": 2.0}),
+    ("bpdn_eps", (1.5, 3.0), {}),
+    ("bpdn_eta", (1.5, 3.0), {}),
+    ("bp_l1", (1.0,), {"sparsity": 2}),
+    ("rr_irls", (0.5,), {"sparsity": 2}),
+])
+def test_records_equal_per_trial_rebuild(family, p_grid, extra):
+    # 70 trials: two chunks per p; a master seed of two 32-bit words
+    cfg = ExperimentConfig(family=family, m=4, N=9, trials=70, master_seed=2 ** 63 + 12345,
+                           p_grid=p_grid, **extra)
+    run = (analysis.run_recovery_comparison if family in analysis.RECOVERY_FAMILIES
+           else analysis.run_genericity_experiment)
+    got = run(cfg).trials
+    assert [_fields(r) for r in got] == [_fields(r) for r in _rebuilt(cfg)]
 
 
 class TestRecoveryComparison:

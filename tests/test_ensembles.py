@@ -163,3 +163,46 @@ def test_derive_seed_stable():
     s3 = ensembles.derive_seed(7, 0, 2)
     assert s1 == s2 != s3
     assert 0 <= s1 < 2 ** 64
+
+
+class TestSeedPort:
+    """derive_seeds, philox_keys and rekey against the public seed rule
+    (derive_seed and rng_for, both through numpy's SeedSequence)."""
+
+    MASTERS = [0, 21, 2 ** 32 - 1, 2 ** 32, 2 ** 63 + 12345, 2 ** 64 - 1]
+    SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]  # one and two 32-bit words
+    TRIALS = 131
+
+    @pytest.mark.parametrize("p_index", [0, 4])
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_derive_seeds(self, master, p_index):
+        ref = [ensembles.derive_seed(master, p_index, t) for t in range(self.TRIALS)]
+        assert ensembles.derive_seeds(master, p_index, np.arange(self.TRIALS)).tolist() == ref
+        chunks = [ensembles.derive_seeds(master, p_index, np.arange(lo, min(lo + 64, self.TRIALS)))
+                  for lo in range(0, self.TRIALS, 64)]  # the harness's chunks
+        assert np.concatenate(chunks).tolist() == ref
+
+    def test_philox_keys(self):
+        # one call over one- and two-word seeds: each layout is hashed as its own group
+        seeds = self.SEEDS + ensembles.derive_seeds(2 ** 63 + 12345, 4, np.arange(64)).tolist()
+        keys = ensembles.philox_keys(seeds)
+        assert keys.shape == (len(seeds), 2) and keys.dtype == np.uint64
+        for s, key in zip(seeds, keys):
+            assert np.array_equal(key, np.random.SeedSequence([s]).generate_state(2, np.uint64)), s
+            assert np.array_equal(key, ensembles.rng_for(s).bit_generator.state["state"]["key"]), s
+
+    @pytest.mark.parametrize("sparsity,signal_values", [(None, "pm_one"), (3, "pm_one"),
+                                                        (3, "gaussian")])
+    def test_rekeyed_draws_match_rng_for(self, sparsity, signal_values):
+        # one generator re-keyed per seed, after draws that leave Philox's
+        # buffers part used, gives rng_for(seed)'s A, y, support, signs and magnitudes
+        seeds = self.SEEDS + ensembles.derive_seeds(21, 0, np.arange(60, 70)).tolist()
+        rng = np.random.Generator(np.random.Philox(key=[0, 0]))
+        for s, key in zip(seeds, ensembles.philox_keys(seeds)):
+            got = ensembles.draw_instance(ensembles.rekey(rng, key), 4, 9, sparsity, signal_values)
+            spec = EnsembleSpec(m=4, N=9, seed=s, sparsity=sparsity, signal_values=signal_values)
+            ref = (ensembles.gen_gaussian_instance(spec) + (None, None) if sparsity is None
+                   else ensembles.gen_sparse_measured(spec))
+            for a, b in zip(got, ref):
+                assert (a is None and b is None) or np.array_equal(a, b), s
+            rng.integers(0, 2, size=3)  # a half-used 32-bit buffer the next rekey must clear
