@@ -36,15 +36,18 @@ of same-shape instances that share p and the parameters (solve_stack);
 p alone picks one of four branches (bp dual and bp primal on null(A); rr
 residual and rr primal; rr is en at r = p, lam2 = 0, and below p = 2 en
 is rr on augmented data).  The base classes write the boilerplate once:
-_Stack the primal state map, start, trial step, fallback and row
-selection (take); _Bp and _Rr the objective, stopping measure and result
-builder.  A branch writes its Newton direction, and
+_Stack the primal state map, start, trial step, fallback, stopping test
+and row selection (take); _Bp and _Rr the objective, stopping measure and
+result builder.  A branch writes its Newton direction, and
 the two fixed-point forms also their state map, start and stopping
 measure.  The driver keeps every per-instance state in arrays; a family
 stack builds its branch on all its rows, and the driver writes each row's
-result in place.  The bpdn forms and en below p = 2 find a root in lam on
-rr's solution path (_rr_path_root) over a stack in lockstep: each round
-solves the active instances' rr, each at its own lam, as one stack.
+result in place.  The bpdn forms run the same driver on rr's branch
+bordered by their constraint (_Bordered): one Newton solve in the rr
+state and log lam together.  Rows it leaves unsolved, and en below p = 2,
+find a root in lam on rr's solution path (_rr_path_root) over a stack in
+lockstep: each round solves the active instances' rr, each at its own lam,
+as one stack.
 Every step works row by row, so an instance's result does not depend on
 the other instances of its stack: solve_bp, solve_rr, solve_en and the
 solve_bpdn_* functions are stacks of one.  Validation happens at the
@@ -112,9 +115,11 @@ class SolverConfig:
     max_iter: int = 500
 
     def validate(self):
-        if not self.kkt_tol > 0:  # NaN too: no residual would ever pass it
-            raise InvalidInputError(f"kkt_tol must be positive, got {self.kkt_tol!r}")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        # NaN fails too (no residual would ever pass it), and inf (every residual would)
+        if not 0.0 < self.kkt_tol < np.inf:
+            raise InvalidInputError(f"kkt_tol must be positive and finite, got {self.kkt_tol!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
             raise InvalidInputError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -224,7 +229,8 @@ def _add_diag(J, v):
 
 
 def _solve(M, rhs):
-    """Solve M[k] d[k] = rhs[k] for every slice of a stack of symmetric systems.
+    """Solve M[k] d[k] = rhs[k] for every slice of a stack of symmetric systems,
+    rhs[k] a vector or an n x k block of right-hand sides.
 
     Small systems are solved as one stack by LU.  When a slice is singular
     each slice is solved alone, so a slice's answer never depends on the
@@ -239,17 +245,17 @@ def _solve(M, rhs):
         for k in range(len(M)):
             d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
         return d
+    block = rhs if rhs.ndim == M.ndim else rhs[..., None]
     try:
-        return np.linalg.solve(M, rhs[..., None])[..., 0]
+        d = np.linalg.solve(M, block)
     except np.linalg.LinAlgError:
-        pass
-    d = np.zeros_like(rhs)
-    for k in range(len(M)):
-        try:
-            d[k] = np.linalg.solve(M[k:k + 1], rhs[k:k + 1, :, None])[0, :, 0]
-        except np.linalg.LinAlgError:
-            d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
-    return d
+        d = np.zeros_like(block)
+        for k in range(len(M)):
+            try:
+                d[k] = np.linalg.solve(M[k:k + 1], block[k:k + 1])[0]
+            except np.linalg.LinAlgError:
+                d[k] = _solve_shifted(M[k], block[k], np.trace(M[k]) / n)
+    return d if block is rhs else d[..., 0]
 
 
 def _qr(A, mode="reduced"):
@@ -281,6 +287,7 @@ class _Stack:
 
       start()                    -> state: dict of per-instance arrays, with var and "merit"
       measure(st)                -> (residual, scale) of the Newton stopping and stall tests
+      done(st, res, scale)       -> the rows that pass the stopping test, res <= kkt_tol scale
       direction(st)              -> (d, slope of the merit along d, failed rows or None)
       trial(st, rows, step)      -> the state of `rows` at st[var][rows] + step
       fallback(st, j, it)        -> SolveResult of row j from _first_order
@@ -289,7 +296,7 @@ class _Stack:
                                     test, st["G"] the gradient on the feasible set at st["x"]
       results(st, rows, it, ok)  -> SolveResults of `rows` from st["x"] (and st["nu"] for bp)
 
-    _Stack supplies start, trial, fallback and take, and the state map
+    _Stack supplies start, trial, fallback, done and take, and the state map
     _at(x, rows) of the primal branches: x and its objective as the merit,
     started at self.x0.  The family classes _Bp and _Rr supply objective
     and results, and _Rr and _BpPrimal gradient_measure (also their
@@ -333,6 +340,9 @@ class _Stack:
     def fallback(self, st, j, it):
         return _first_order(self.take([j]), st["x"][j], it)
 
+    def done(self, st, res, scale):
+        return res <= self.cfg.kkt_tol * scale
+
 
 def _newton(br, out, rows):
     """Damped Newton with Armijo backtracking on every instance of branch `br`.
@@ -350,7 +360,7 @@ def _newton(br, out, rows):
     st.update(row=rows, best=np.full(n, np.inf), count=np.zeros(n, dtype=int))
     for it in range(cfg.max_iter + 1):
         res, scale = br.measure(st)
-        done = res <= cfg.kkt_tol * scale
+        done = br.done(st, res, scale)
         st["count"] = np.where(res <= st["best"] * (1.0 - _STALL_GAIN), 0, st["count"] + 1)
         st["best"] = np.minimum(st["best"], res)
         leave = done | (st["count"] >= _STALL_PATIENCE)
@@ -627,16 +637,20 @@ class _Rr(_Stack):
     lam, as a column.  The start is the p = 2 solution at twice lam + lam2
     unless `warm` gives one."""
 
-    lean = False  # results: (x, iterations) alone, for the inner solves of a root in lam
+    lean = False  # results: (x, lam, iterations) alone, for the inner solves of a root in lam
+    gram = False  # keeps A^T A as AtA (the p >= 2 branches)
 
     def __init__(self, A, y, p, cfg, lam, warm=None, r=None, lam2=0.0):
         super().__init__(A, y, p, cfg)
         self.lam, self.r, self.lam2 = lam[:, None], (p if r is None else r), lam2
         aty = _tmv(A, y)
         self.scale = _amax(aty)
-        if warm is None:
+        if self.gram or warm is None:
             AtA = np.matmul(A.transpose(0, 2, 1), A)
-            warm = _solve(_add_diag(AtA, 2.0 * (self.lam + lam2)), aty)
+        if self.gram:
+            self.AtA = AtA
+        if warm is None:
+            warm = _solve(_add_diag(AtA.copy() if self.gram else AtA, 2.0 * (self.lam + lam2)), aty)
         self.x0 = warm
 
     def objective(self, x, rows=slice(None)):
@@ -660,7 +674,7 @@ class _Rr(_Stack):
         """`it`: one count or one per row; `ok` by default: the KKT test."""
         x = st["x"][rows]
         if self.lean:
-            return [(xj, it) for xj in x]
+            return [(xj, lam, it) for xj, lam in zip(x, self.lam[rows, 0])]
         obj = self.objective(x, rows)
         kkt = self.kkt(x, rows)
         ok = kkt <= self.cfg.kkt_tol * self.scale[rows] if ok is None else ok
@@ -670,7 +684,7 @@ class _Rr(_Stack):
 
     def fallback(self, st, j, it):
         if self.lean and self.lam2:  # en's root: a non-finite x takes the row off it
-            return np.full(self.A.shape[2], np.nan), it
+            return np.full(self.A.shape[2], np.nan), self.lam[j, 0], it
         return super().fallback(st, j, it)
 
 
@@ -735,9 +749,7 @@ class _EnPrimal(_Rr):
     """p >= 2: Newton with the exact Hessian of lam ||x||_p^r, whose rank-one term is 0 at r = p:
     lam (r/p) ||x||_p^(r-p) [diag(g'(x)) + ((r-p) / (p ||x||_p^p)) g(x) g(x)^T]."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.AtA = np.matmul(self.A.transpose(0, 2, 1), self.A)
+    gram = True
 
     def direction(self, st):
         p, r, x, G = self.p, self.r, st["x"], st["G"]
@@ -819,16 +831,30 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
-def _rr_core(A, y, p, lam, cfg, warm, lam2=0.0):
-    """rr on (A*, y*) (_RrResidual), row k at lam[k] from warm[k] with A^T y != 0: the
-    inner solves of the roots in lam, as arrays (x, iterations)."""
-    br = _branch("rr", p)(A, y, p, cfg, lam, warm, lam2=lam2)
-    br.lean = True
+def _rr_core(A, y, p, lam, cfg, warm, lam2=0.0, aim=None, target=None, tol=None):
+    """The Newton solves on rr's path, row k from warm[k] and lam[k], with A^T y != 0,
+    as arrays (x, lam, iterations):
+
+      aim None   rr on (A*, y*) at lam (_RrResidual or _EnPrimal), the inner
+                 solves of the roots in lam; lam comes back as it went in
+      aim set    the bpdn form of _Bordered (lam2 = 0), in x and lam at once;
+                 lam is the one found, nan on a row that did not converge
+
+    A call is one solve of every row of its stack.  The benchmark's tracer
+    and the tests count the rows solved through this name, and forward
+    positional arguments only, so callers pass them by position.
+    """
+    if aim is None:
+        br = _branch("rr", p)(A, y, p, cfg, lam, warm, lam2=lam2)
+        br.lean = True
+    else:
+        br = (_BorderedResidual if p < 2.0 else _BorderedPrimal)(A, y, p, cfg, lam, warm, aim,
+                                                                  target, tol)
     out = [None] * len(A)
-    with np.errstate(all="ignore"):  # a budget too small can overflow x; the root checks x
+    with np.errstate(all="ignore"):  # a budget too small can overflow x; the callers check x
         _newton(br, out, np.arange(len(A)))
-    x, iterations = zip(*out)
-    return np.array(x), np.array(iterations)
+    x, lam, iterations = zip(*out)
+    return np.array(x), np.array(lam), np.array(iterations)
 
 
 def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveResult:
@@ -929,8 +955,8 @@ def _bpdn_eps_stack(A, y, p, cfg, eps):
         out[k] = SolveResult(np.zeros(N), 0.0, 0.0, 0.0, 0, CONVERGED)
     rows = rows[~slack]
     A, y, eps = A[rows], y[rows], eps[rows]
-    x, lam, iters, found = _rr_path_root(A, y, p, cfg, "residual", eps, _PATH_MATCH_TOL * ny[rows],
-                                         1e-8 * ny[rows], x_ls[rows])
+    x, lam, iters, found = _bpdn_path(A, y, p, cfg, "residual", eps, _PATH_MATCH_TOL * ny[rows],
+                                      1e-8 * ny[rows], x_ls[rows])
     mu = 1.0 / (2.0 * lam)
     kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
     obj = pnorm._pow_sum(x, p) ** (1.0 / p)
@@ -968,8 +994,8 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
             out[k] = SolveResult(b.x, 0.0, float(np.linalg.norm(A[k] @ b.x - y[k])),
                                  float(kkt[0]), b.iterations, b.status, reduced_to_bp=True)
     rows = np.array([k for k in rows if out[k] is None], dtype=int)
-    x, mu, iters, found = _rr_path_root(A[rows], y[rows], p, cfg, "norm", eta[rows],
-                                        _PATH_MATCH_TOL * eta[rows], 1e-8 * eta[rows], x_ls[rows])
+    x, mu, iters, found = _bpdn_path(A[rows], y[rows], p, cfg, "norm", eta[rows],
+                                     _PATH_MATCH_TOL * eta[rows], 1e-8 * eta[rows], x_ls[rows])
     bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
     r = _mv(A[rows], x) - y[rows]
     kkt = _kkt_bpdn_eta(A[rows], y[rows], x, mu, p, eta[rows])
@@ -992,12 +1018,16 @@ def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult
     For eps >= ||y||_2 the solution is x = 0 with multiplier 0.  Otherwise
     the constraint is active and there is a unique mu > 0 with
     grad_f(x) + 2 mu A^T (A x - y) = 0; the solution lies on the penalized
-    path x(lam) = rr-solution(lam) at lam = 1/(2 mu), located by a
-    safeguarded Newton root-find (_rr_path_root) on ||A x(lam) - y||_2 = eps.
-    It starts from the least-norm solution x_ls of A x = y scaled by
-    1 - eps / ||y||_2, which meets the constraint, and from the lam that
-    best fits the rr stationarity there.  A batch of one through the
-    stacked root-find (see solve_stack).
+    path x(lam) = rr-solution(lam) at lam = 1/(2 mu).  One damped Newton
+    iteration (_Bordered) solves rr's stationarity at lam and
+    ||A x - y||_2 = eps together, in x (or rr's residual variable below
+    p = 2) and log lam.  It starts from the least-norm solution x_ls of
+    A x = y scaled by 1 - eps / ||y||_2, which meets the constraint, and
+    from the lam that best fits the rr stationarity there.  A row it
+    leaves unsolved finishes by a safeguarded Newton root-find on the path
+    (_rr_path_root) from the same start; the result's iterations are the
+    bordered ones plus the root-find's inner ones.  A batch of one through
+    the stacked solve (see solve_stack).
     """
     return _raised(solve_stack("bpdn_eps", *_one(A, y), p, cfg, eps=eps)[0])
 
@@ -1009,12 +1039,211 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     and the problem reduces to basis pursuit; the bp solution is returned
     with multiplier 0 and the reduction flagged.  Otherwise the constraint
     is active, the multiplier mu > 0 is unique, and the solution lies on
-    the same penalized path at lam = mu, located by the same root-find on
-    ||x(mu)||_p = eta, started from x_ls scaled to ||x||_p = eta.  bp is
-    solved only when eta is not below a dual lower bound on its optimum.  A
-    batch of one through the stacked root-find (see solve_stack).
+    the same penalized path at lam = mu, located as for solve_bpdn_eps
+    with ||x||_p = eta as the constraint, started from x_ls scaled to
+    ||x||_p = eta.  bp is solved only when eta is not below a dual lower
+    bound on its optimum.  A batch of one through the stacked solve (see
+    solve_stack).
     """
     return _raised(solve_stack("bpdn_eta", *_one(A, y), p, cfg, eta=eta)[0])
+
+
+class _Bordered:
+    """A bpdn form as one Newton solve in z = (v, t), t = log lam and v the
+    state of the rr branch it extends (w below p = 2, x from p = 2): the
+    branch's residual G at lam = exp(t) and the constraint
+
+      c = log(||r||_2 / eps)  aim "residual", r = A x - y (below p = 2, w)
+      c = log(||x||_p / eta)  aim "norm"
+
+    vanish together (Keller's bordering method, 1977).  A step solves the
+    branch's Newton matrix for -G and -dG/dt as one block (_solve); the
+    constraint row, linearized, then gives dt.  The merit is
+    ||G / sigma||^2 + c^2, sigma the scale of G, so the Newton slope is -2
+    merit.  A row is done when the branch's own rr test passes and
+    |value - target| <= tol, value ||A x - y||_2 or ||x||_p.  Its result is
+    (x, lam, iterations), with lam = nan when it stalls, exhausts the budget
+    or fails its line search.
+
+    A subclass supplies sigma, the start _v0 (and _t0 unless it is the
+    start's lam), the state map _rr_at of v at lam, the rr residual of the
+    stopping test, and _linear: the Newton matrix, its two right-hand sides
+    and the gradient of c in v and in t.
+    """
+
+    var = "z"
+    slack = 0.0
+
+    def __init__(self, A, y, p, cfg, lam, warm, aim, target, tol):
+        super().__init__(A, y, p, cfg, lam, warm)
+        self.aim, self.target, self.tol = aim, target, tol
+
+    def _at(self, z, rows):
+        lam = np.exp(z[:, -1:])
+        st = self._rr_at(z[:, :-1], lam, rows)
+        if self.aim == "residual":
+            value = np.sqrt(_dot(st["r"], st["r"]))
+        else:
+            st["F"] = pnorm._pow_sum(st["x"], self.p)
+            value = st["F"] ** (1.0 / self.p)
+        c = np.log(value / self.target[rows])
+        G = st["G"] / self.sigma[rows, None]
+        st.update(z=z, lam=lam, c=c, merit=_dot(G, G) + c * c)
+        return st
+
+    def start(self):
+        v = self._v0()
+        return self._at(np.concatenate([v, self._t0(v)], axis=1), slice(None))
+
+    def _t0(self, v):
+        return np.log(self.lam)
+
+    def measure(self, st):
+        """(the larger of the two tests' ratios to their tolerances, 1) for the stall test."""
+        if self.aim == "residual":  # of A x - y itself, which w equals only at the solution
+            r = _mv(self.A, st["x"]) - self.y
+            value = np.sqrt(_dot(r, r))
+        else:
+            value = st["F"] ** (1.0 / self.p)
+        st["gap"] = np.abs(value - self.target)
+        st["rr"] = self._rr_residual(st)
+        return np.maximum(st["rr"] / (self.cfg.kkt_tol * self.scale), st["gap"] / self.tol), 1.0
+
+    def done(self, st, res, scale):
+        return (st["rr"] <= self.cfg.kkt_tol * self.scale) & (st["gap"] <= self.tol)
+
+    def direction(self, st):
+        J, rhs, cv, ct = self._linear(st)
+        d = _solve(J, rhs)
+        a, b = d[..., 0], d[..., 1]
+        dt = -(st["c"] + _dot(cv, a)) / (_dot(cv, b) + ct)
+        d = np.concatenate([a + dt[:, None] * b, dt[:, None]], axis=1)
+        failed = ~np.isfinite(d).all(axis=1)
+        return d, -2.0 * st["merit"], failed if failed.any() else None
+
+    def results(self, st, rows, it, ok):
+        lam = np.where(ok, st["lam"][rows, 0], np.nan)
+        return [(x, lam_j, it) for x, lam_j in zip(st["x"][rows], lam)]
+
+    def fallback(self, st, j, it):
+        return st["x"][j], np.nan, it
+
+
+class _BorderedResidual(_Bordered, _RrResidual):
+    """1 < p < 2: v = w and G = w - y + A h(s), s = A^T w / lam, whose Newton
+    matrix in w is _reduced's I + A diag(E) A^T, E = h'(s) / lam."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sigma = np.sqrt(_dot(self.y, self.y))
+
+    def _v0(self):
+        return self.y - _mv(self.A, self.x0)
+
+    def _t0(self, w):
+        """t at w for aim "norm": where c(w, t) = 0, as ||h(A^T w / lam)||_p = eta
+        at lam = ||A^T w||_q / (p eta^(p-1)), q = p / (p-1).  The fitted lam0
+        of _bpdn_start can miss that lam by orders of magnitude near p = 1."""
+        if self.aim != "norm":
+            return super()._t0(w)
+        v = np.abs(_tmv(self.A, w))
+        top = v.max(axis=1)
+        q = self.p / (self.p - 1.0)
+        norm_q = top * pnorm._pow_sum(v / top[:, None], q) ** (1.0 / q)
+        return (np.log(norm_q / self.p) - (self.p - 1.0) * np.log(self.target))[:, None]
+
+    def _rr_at(self, w, lam, rows):
+        A = self.A[rows]
+        s = _tmv(A, w) / lam
+        x = pnorm._h(s, self.p)
+        return {"s": s, "x": x, "r": w, "G": w - self.y[rows] + _mv(A, x)}
+
+    def _rr_residual(self, st):
+        return _amax(_tmv(self.A, st["G"]))
+
+    def _linear(self, st):
+        """dx = E A^T dw - lam E s dt, so dG/dt = -lam u with u = A (E s), and
+        with g(x) = s, p ||x||_p^p dc = u^T dw - lam s^T E s dt (aim "norm")."""
+        lam, s = st["lam"], st["s"]
+        E, J = _reduced(self.A, pnorm._h_prime(s, self.p) / lam, 0.0)
+        Es = E * s
+        u = _mv(self.A, Es)
+        rhs = np.stack([-st["G"], lam * u], axis=-1)
+        if self.aim == "residual":  # c of w alone
+            return J, rhs, st["r"] / _dot(st["r"], st["r"])[:, None], 0.0
+        pF = self.p * st["F"]
+        return J, rhs, u / pF[:, None], -lam[:, 0] * _dot(s, Es) / pF
+
+
+class _BorderedPrimal(_Bordered, _EnPrimal):
+    """p >= 2: v = x and G = A^T (A x - y) + lam g(x), whose Newton matrix
+    is A^T A + lam diag(g'(x)); dG/dt = lam g(x)."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sigma = self.scale
+
+    def _v0(self):
+        return self.x0
+
+    def _rr_at(self, x, lam, rows):
+        A = self.A[rows]
+        r = _mv(A, x) - self.y[rows]
+        g = pnorm._g(x, self.p)
+        return {"x": x, "g": g, "r": r, "G": _tmv(A, r) + lam * g}
+
+    def _rr_residual(self, st):
+        return _amax(st["G"])
+
+    def _linear(self, st):
+        """c is of x alone: dc = r^T A dx / ||r||^2 or g(x)^T dx / (p ||x||_p^p)."""
+        lam, g, r = st["lam"], st["g"], st["r"]
+        J = _add_diag(self.AtA.copy(), lam * pnorm._g_prime(st["x"], self.p))
+        rhs = np.stack([-st["G"], -lam * g], axis=-1)
+        if self.aim == "residual":
+            return J, rhs, _tmv(self.A, r) / _dot(r, r)[:, None], 0.0
+        return J, rhs, g / (self.p * st["F"][:, None]), 0.0
+
+
+def _bpdn_start(A, y, p, aim, target, x_ls):
+    """(x_bar, lam0) of every bpdn row: x_bar = s x_ls meets the target (s = 1 -
+    eps / ||y|| or eta / ||x_ls||_p), and lam0 = ||y||^2 s (1 - s) / (p
+    ||x_bar||_p^p) best fits rr's stationarity along it, at least 1e-12
+    mean(A * A); a non-finite lam0 (s^p underflows) gives way to mean(A * A)."""
+    B, m, N = A.shape
+    mean_sq = (A * A).reshape(B, m * N).mean(axis=1)
+    ny2 = _dot(y, y)
+    with np.errstate(all="ignore"):
+        frac = (1.0 - target / np.sqrt(ny2) if aim == "residual"
+                else target / pnorm._pow_sum(x_ls, p) ** (1.0 / p))
+        x_bar = frac[:, None] * x_ls
+        lam = ny2 * frac * (1.0 - frac) / (p * pnorm._pow_sum(x_bar, p))
+    return x_bar, np.where(np.isfinite(lam), np.maximum(lam, 1e-12 * mean_sq), mean_sq)
+
+
+def _inner(cfg):
+    """cfg of the Newton solves on the path: polished well below the match
+    tolerance, so the path value and its slope carry negligible noise."""
+    return replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))
+
+
+def _bpdn_path(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
+    """(x, lam, iterations, found) of every bpdn row, aim "residual" or "norm":
+    the bordered Newton (_rr_core with aim) from _bpdn_start, and
+    _rr_path_root from the same start on the rows it leaves unsolved, with
+    their iterations added."""
+    B, m, N = A.shape
+    if not B:
+        return np.zeros((0, N)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
+    x_bar, lam = _bpdn_start(A, y, p, aim, target, x_ls)
+    x, lam, iters = _rr_core(A, y, p, lam, _inner(cfg), x_bar, 0.0, aim, target, tol)
+    found = np.isfinite(lam)
+    rows = np.flatnonzero(~found)
+    if len(rows):
+        x[rows], lam[rows], more, found[rows] = _rr_path_root(
+            A[rows], y[rows], p, cfg, aim, target[rows], tol[rows], tol_floor[rows], x_ls[rows])
+        iters[rows] += more
+    return x, lam, iters, found
 
 
 def _path_dx(A, p, lam, x, lam2=0.0):
@@ -1036,17 +1265,16 @@ def _path_dx(A, p, lam, x, lam2=0.0):
 
 
 def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=0.0, r=None):
-    """Find, on each row k of a stack, lam on its rr path x(lam) where the path meets `aim`:
+    """Find, on each row k of a stack, lam on its rr path x(lam) where the path meets `aim`
+    (en's root, and the bpdn rows _Bordered leaves unsolved):
 
       "residual"  ||A x - y||_2 = target[k] (bpdn_eps); it grows with lam
       "norm"      ||x||_p = target[k] (bpdn_eta); it falls
       "en"        lam = lam* = _coef(x, p, target[k], r) on (A*, y*), by the gap
                   (lam - lam*) max |g(x)| the inner solve leaves of en's gradient
 
-    An en row starts at lam[k] and x0[k], a bpdn row at x_bar = s x0, x0 = x_ls
-    the least-norm solution of A x = y scaled to meet the target (s = 1 - eps /
-    ||y|| or eta / ||x_ls||_p), and at the lam that best fits rr's stationarity
-    along x_bar, ||y||^2 s (1 - s) / (p ||x_bar||_p^p).  Newton steps in
+    An en row starts at lam[k] and x0[k], a bpdn row at _bpdn_start of x0 =
+    x_ls, the least-norm solution of A x = y.  Newton steps in
     log lam on log ||A x - y||, on ||x||_p or on log lam - log lam*(x) take
     their slope from _path_dx, and each starts its rr solve on the tangent,
     x + dx/dlam (lam_new - lam).  The bracket [lo, hi] seen so far guards
@@ -1054,7 +1282,7 @@ def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=
     to halve the mismatch, is replaced by a geometric one (x8, /8 or
     sqrt(lo hi)) that starts from x.  lam0 and the floor 1e-12 mean(A * A)
     scale as c^2 when (A, y) scales by c, so the iteration is scale-free; a
-    non-finite lam0 (s^p underflows) gives way to mean(A * A).  A row aims for
+    non-finite lam0 gives way to mean(A * A).  A row aims for
     |gap| <= tol; when its bracket collapses to machine width first (the
     tolerance sits below what the inner solves can certify), the closest
     point is still accepted if it matches within tol_floor.
@@ -1070,19 +1298,12 @@ def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=
     are the closest point seen and its lam (the start and nan if no inner
     solve gave a finite x).
     """
-    # inner solves are polished well below the match tolerance so the path
-    # value and its slope carry negligible noise
-    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))
+    inner_cfg = _inner(cfg)
     B, m, N = A.shape
     mean_sq = (A * A).reshape(B, m * N).mean(axis=1)
     floor = 1e-12 * mean_sq
     if lam is None:
-        ny2 = _dot(y, y)
-        with np.errstate(all="ignore"):
-            frac = (1.0 - target / np.sqrt(ny2) if aim == "residual"
-                    else target / pnorm._pow_sum(x0, p) ** (1.0 / p))
-            x0 = frac[:, None] * x0
-            lam = ny2 * frac * (1.0 - frac) / (p * pnorm._pow_sum(x0, p))
+        x0, lam = _bpdn_start(A, y, p, aim, target, x0)
     lam = np.where(np.isfinite(lam), np.maximum(lam, floor), mean_sq)
     x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
     iters, found = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
@@ -1094,7 +1315,7 @@ def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=
     for solves in range(1, 201):  # budget of inner rr solves
         if not B:
             break
-        x, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"], lam2)
+        x, _, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"], lam2)
         s["total"] = s["total"] + inner
         with np.errstate(all="ignore"):
             res = _mv(s["A"], x) - s["y"]

@@ -128,7 +128,7 @@ class TestSolveCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
-                                            ("--max-iter", "0")])
+                                            ("--tol", "inf"), ("--max-iter", "0")])
     def test_bad_solver_config_exits_1(self, tmp_path, capsys, flag, value):
         mp, yp = write_instance(tmp_path, [[1.0, 1.0]], [2.0])
         out = tmp_path / "res.json"

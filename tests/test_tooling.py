@@ -1,20 +1,25 @@
-"""The benchmark's tracer (perfbench/spans.py) still finds every name it hooks in lps.
+"""The benchmark (perfbench/) still runs on lps and accepts its answers.
 
 The traced benchmark run prints no result when a hooked name is gone, so a
 rename inside lps.solvers (_rr_core, its np or scipy module names) shows here,
 and so does a certificate that lps.analysis no longer calls by its module name.
+One round of the mc-path and solve-mixed workloads goes through the
+benchmark's own checks, so an answer the benchmark would reject fails here.
 """
 
+import importlib
 import importlib.util
 import pathlib
 
 import numpy as np
+import pytest
 
 import lps.analysis
 import lps.ensembles
 import lps.solvers
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _spans():
@@ -58,3 +63,13 @@ def test_certificate_counts_one_span():
         assert tracer.calls("certify_nonzero") == 1
     finally:
         tracer.remove()
+
+
+@pytest.mark.parametrize("workload", ["mc-path", "solve-mixed"])
+def test_workload_round_passes_its_checks(monkeypatch, tmp_path, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports checks by that path
+    workloads = importlib.import_module("workloads")
+    wl = workloads.build(workload, 61803, str(tmp_path), 0)
+    problems, failed = wl.check([call() for call in wl.calls])
+    assert problems == []
+    assert failed == 0
