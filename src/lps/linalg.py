@@ -4,7 +4,8 @@ Everything here is dense and desk-scale (m, N up to a few hundred):
 minimum-norm solutions of underdetermined systems and projection onto
 affine sets {x : Ax = y}, both via a Cholesky factor of A A^T, and a
 pivot-based invertibility test.  lps.solvers does not use them (it factors
-A^T = Q R instead); the tests use them as independent references.
+A^T = Q R instead); the tests use them as independent references.  They
+factor with scipy.linalg, which loads on the first call, not on import.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, RankDeficientError
 
@@ -39,17 +39,19 @@ def _as_vector(b, name: str = "b") -> np.ndarray:
     return arr
 
 
-def _gram_factor(A: np.ndarray):
-    """Cholesky factor of A A^T; raises RankDeficientError when A lacks row rank."""
+def _gram_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(A A^T)^{-1} b by a Cholesky factor; raises RankDeficientError when A lacks row rank."""
+    import scipy.linalg
+
     gram = A @ A.T
     try:
-        c, low = scipy.linalg.cho_factor(gram, check_finite=False)
+        c = scipy.linalg.cho_factor(gram, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise RankDeficientError("A A^T is numerically singular") from exc
     scale = np.abs(gram).max(initial=0.0)
-    if np.abs(np.diag(c)).min() ** 2 <= 1e-14 * max(scale, 1e-300):
+    if np.abs(np.diag(c[0])).min() ** 2 <= 1e-14 * max(scale, 1e-300):
         raise RankDeficientError("A A^T is numerically singular")
-    return c, low
+    return scipy.linalg.cho_solve(c, b, check_finite=False)
 
 
 def least_norm_solution(A, y) -> np.ndarray:
@@ -62,8 +64,7 @@ def least_norm_solution(A, y) -> np.ndarray:
     y = _as_vector(y, "y")
     if A.shape[0] != y.shape[0]:
         raise InvalidInputError(f"A has {A.shape[0]} rows but y has length {y.shape[0]}")
-    c = _gram_factor(A)
-    return A.T @ scipy.linalg.cho_solve(c, y, check_finite=False)
+    return A.T @ _gram_solve(A, y)
 
 
 def affine_project(A, y, x) -> np.ndarray:
@@ -75,8 +76,7 @@ def affine_project(A, y, x) -> np.ndarray:
         raise InvalidInputError(
             f"shape mismatch: A is {A.shape}, y has length {y.shape[0]}, x has length {x.shape[0]}"
         )
-    c = _gram_factor(A)
-    return x - A.T @ scipy.linalg.cho_solve(c, A @ x - y, check_finite=False)
+    return x - A.T @ _gram_solve(A, A @ x - y)
 
 
 def is_invertible(M, tol: float = 1e-12) -> bool:
@@ -93,6 +93,8 @@ def is_invertible(M, tol: float = 1e-12) -> bool:
     scale = np.abs(M).max()
     if scale == 0.0:
         return False
+    import scipy.linalg
+
     with warnings.catch_warnings():
         # singular input is an expected answer here, not an anomaly
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)

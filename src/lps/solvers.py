@@ -56,6 +56,8 @@ public functions; the inner loops call unchecked pnorm kernels.
 One QR factorization A^T = Q R per row (_qr) answers all that bp, the
 bpdn forms and bp_l1 ask of A: its row rank, the least-norm point, the
 projection onto A x = y, bp's multiplier and null(A); none goes via A A^T.
+Every other system (Newton, warm start, path slope, IRLS step) is solved by
+numpy.linalg's LU, one stacked call per stack (_solve); scipy.linalg is not used.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-import scipy.linalg
+import scipy  # the package alone, no submodule: perfbench/spans.py swaps lps.solvers.scipy
 
 from . import pnorm
 from .errors import InvalidInputError, RankDeficientError, UnsupportedExponentError
@@ -177,14 +179,14 @@ def _validated(A, y):
 
 
 def _solve_shifted(M, rhs, scale):
-    """Solve M d = rhs for symmetric PSD M, escalating a diagonal shift on failure."""
+    """Solve M d = rhs for one symmetric PSD M by LU, retried with an escalating
+    shift on a copy's diagonal while M is exactly singular, then by least
+    squares; it serves _solve's singular slices and solve_rr_irls's steps."""
     shift = 0.0
-    n = M.shape[0]
     for _ in range(8):
         try:
-            c = scipy.linalg.cho_factor(M + shift * np.eye(n), check_finite=False)
-            return scipy.linalg.cho_solve(c, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            return np.linalg.solve(_add_diag(M.copy(), shift) if shift else M, rhs)
+        except np.linalg.LinAlgError:
             shift = max(_TIKHONOV * max(scale, 1.0), shift * 100.0)
     return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
@@ -200,7 +202,6 @@ _LS_SHRINK = 0.5     # Armijo backtracking factor
 _LS_DECREASE = 1e-4  # Armijo sufficient-decrease fraction
 _FIRST_ORDER_MAX_ITER = 50000  # step budget of _first_order
 _PATH_MATCH_TOL = 1e-10  # bpdn path match, relative to ||y||_2 (eps form) or eta
-_CHOLESKY_MIN = 64   # order from which _solve factors PSD systems one by one
 
 
 def _mv(A, x):
@@ -232,19 +233,12 @@ def _solve(M, rhs):
     """Solve M[k] d[k] = rhs[k] for every slice of a stack of symmetric systems,
     rhs[k] a vector or an n x k block of right-hand sides.
 
-    Small systems are solved as one stack by LU.  When a slice is singular
-    each slice is solved alone, so a slice's answer never depends on the
-    others; a singular one is retried by _solve_shifted.  Systems of order
-    _CHOLESKY_MIN or more go to _solve_shifted slice by slice: there a
-    Cholesky factorization, half the work of LU, outweighs the per-call cost
-    that one stacked call saves.
+    The stack is solved by one stacked LU (np.linalg.solve) at every order.
+    When a slice is exactly singular each slice is solved alone, so a
+    slice's answer never depends on the others; a singular one is retried
+    by _solve_shifted.
     """
     n = M.shape[-1]
-    if n >= _CHOLESKY_MIN:
-        d = np.zeros_like(rhs)
-        for k in range(len(M)):
-            d[k] = _solve_shifted(M[k], rhs[k], np.trace(M[k]) / n)
-        return d
     block = rhs if rhs.ndim == M.ndim else rhs[..., None]
     try:
         d = np.linalg.solve(M, block)
@@ -1461,7 +1455,7 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
 
     AtA = A.T @ A
     aty = A.T @ y
-    x = _solve_shifted(AtA + lam * np.eye(n), aty, 1.0)
+    x = _solve_shifted(_add_diag(AtA.copy(), lam), aty, 1.0)
     iters = 0
     eps = _IRLS_EPS_START
     if trace is not None:
@@ -1469,7 +1463,7 @@ def solve_rr_irls(A, y, p, lam, cfg: SolverConfig | None = None,
     while True:
         for _ in range(_IRLS_FINAL_MAX if eps <= _IRLS_EPS_FINAL else _IRLS_INNER_MAX):
             w = (x * x + eps) ** (p / 2.0 - 1.0)
-            x_new = _solve_shifted(AtA + lam * p * np.diag(w), aty, 1.0)
+            x_new = _solve_shifted(_add_diag(AtA.copy(), lam * p * w), aty, 1.0)
             iters += 1
             step = float(np.abs(x_new - x).max())
             x = x_new

@@ -217,6 +217,30 @@ class TestRowFactor:
         assert not full.any() and Q.shape == (2, 3, 4)
 
 
+class TestStackSolve:
+    """lps.solvers._solve, the one linear solve behind every Newton system."""
+
+    @pytest.mark.parametrize("n", [8, 70])
+    @pytest.mark.parametrize("cols", [None, 3])
+    def test_singular_slice(self, n, cols):
+        rng = np.random.default_rng(n)
+        G = rng.standard_normal((4, n, n))
+        M = np.matmul(G, G.transpose(0, 2, 1)) + np.eye(n)
+        M[2, 0, :] = M[2, :, 0] = 0.0  # exactly singular: LU meets a zero pivot
+        rhs = rng.standard_normal((4, n) if cols is None else (4, n, cols))
+        before = M.copy()
+        d = lps.solvers._solve(M, rhs)
+        assert np.array_equal(M, before)
+        for k in (0, 1, 3):
+            alone = lps.solvers._solve(M[k:k + 1], rhs[k:k + 1])[0]
+            assert np.array_equal(d[k], alone)
+            assert np.array_equal(d[k], np.linalg.solve(M[k], rhs[k]))
+        shifted = lps.solvers._solve_shifted(M[2], rhs[2], np.trace(M[2]) / n)
+        assert np.all(np.isfinite(d[2])) and np.array_equal(d[2], shifted)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M[2], rhs[2])
+
+
 class TestSolveRR:
     def test_zero_rhs(self):
         res = solve_rr(np.ones((2, 3)), np.zeros(2), 3, 0.2)
@@ -1008,8 +1032,9 @@ class TestBpdnStack:
 
     @pytest.mark.parametrize("family", ["bpdn_eps", "bpdn_eta"])
     def test_wide_rows(self, family):
-        # N >= 64 at p >= 2: _path_dx solves its systems slice by slice; row 1
-        # needs no path (x = 0 or reduced to bp), and in the last stack no row does
+        # N >= 64 at p >= 2: _path_dx solves systems of order 70 by the one
+        # stacked LU that serves every order; row 1 needs no path (x = 0 or
+        # reduced to bp), and in the last stack no row does
         rng = np.random.default_rng(23)
         A, y = rng.normal(size=(3, 6, 70)), rng.normal(size=(3, 6))
         if family == "bpdn_eps":
@@ -1023,8 +1048,8 @@ class TestBpdnStack:
         self._check(family, A, y, 3.0, full)
 
     def test_no_path_rows_at_m_64(self):
-        # m >= 64: the Gram systems of the least-norm start are solved slice
-        # by slice, also when no row reaches the path
+        # m = 64, N = 70: a wide stack that no row takes onto the path, as
+        # x = 0 solves it (eps >= ||y||_2) or A lacks row rank
         rng = np.random.default_rng(29)
         A, y = rng.normal(size=(2, 64, 70)), rng.normal(size=(2, 64))
         rows = solve_stack("bpdn_eps", A, y, 3.0, eps=2.0 * np.linalg.norm(y, axis=1))
