@@ -14,6 +14,7 @@ Exit codes: 0 success/converged, 1 usage or validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -102,13 +103,13 @@ def cmd_solve(args) -> int:
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
+        digest = io_text.config_digest({k: v for k, v in vars(args).items() if k != "func"})
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
+            _write_manifest(args.out, "solve", digest, None, started)
         except OSError as exc:
             return _fail(str(exc))
-        digest = io_text.config_digest({k: v for k, v in vars(args).items() if k != "func"})
-        _write_manifest(args.out, "solve", digest, None, started)
     else:
         sys.stdout.write(text)
     return EXIT_OK if res.status == CONVERGED else EXIT_NO_CONVERGENCE
@@ -284,10 +285,10 @@ def cmd_experiment(args) -> int:
     try:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+        _write_manifest(args.out, f"experiment --kind {args.kind}",
+                        io_text.config_digest(raw), cfg.master_seed, started)
     except OSError as exc:
         return _fail(str(exc))
-    _write_manifest(args.out, f"experiment --kind {args.kind}",
-                    io_text.config_digest(raw), cfg.master_seed, started)
     return EXIT_OK
 
 
@@ -380,10 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses in this process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     return args.func(args)

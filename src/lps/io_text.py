@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import platform
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -122,14 +123,19 @@ class RunManifest:
     environment: dict = field(default_factory=_numeric_environment)
 
     def write(self, path) -> None:
+        """The fields as sorted, indented JSON, serialized in one piece."""
+        text = json.dumps(vars(self), indent=2, sort_keys=True) + "\n"
         with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
+
+
+_CSV_FIELDS = operator.attrgetter(*CSV_COLUMNS)
+_FAMILY = CSV_COLUMNS.index("family")
 
 
 def trial_csv_row(rec) -> str:
     """One CSV data line for a TrialRecord, in the CSV_COLUMNS order: floats by
     repr, the family hyphenated."""
-    row = {c: getattr(rec, c) for c in CSV_COLUMNS}
-    row["family"] = row["family"].replace("_", "-")
-    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values())
+    cells = [repr(float(v)) if isinstance(v, float) else str(v) for v in _CSV_FIELDS(rec)]
+    cells[_FAMILY] = cells[_FAMILY].replace("_", "-")
+    return ",".join(cells)

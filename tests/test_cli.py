@@ -1,11 +1,17 @@
+import io
 import json
 import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from lps import io_text
-from lps.cli import main
+import lps
+from lps import analysis, cli, io_text
+from lps.cli import build_parser, main
 from lps.errors import InvalidInputError
 
 
@@ -27,23 +33,18 @@ def strip_wall_time(csv_text: str) -> str:
     return "\n".join(out)
 
 
-def test_module_entry_point(tmp_path):
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import lps
-
-    mp, yp = write_instance(tmp_path, [[1.0, 1.0]], [2.0])
+def run_module(*argv):
+    """`python -m lps.cli argv` in a fresh interpreter that imports this lps."""
     src_dir = pathlib.Path(lps.__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src_dir) + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "lps.cli", "solve", "--family", "bp", "--p", "2",
-         "--matrix", mp, "--rhs", yp],
-        capture_output=True, text=True, env=env,
-    )
+    return subprocess.run([sys.executable, "-m", "lps.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    mp, yp = write_instance(tmp_path, [[1.0, 1.0]], [2.0])
+    proc = run_module("solve", "--family", "bp", "--p", "2", "--matrix", mp, "--rhs", yp)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["status"] == "converged"
@@ -152,6 +153,17 @@ class TestSolveCommand:
         assert manifest["tool_version"]
         assert len(manifest["config_digest"]) == 64
 
+    def test_unwritable_manifest_exits_1(self, tmp_path, capsys):
+        mp, yp = write_instance(tmp_path, [[1.0, 1.0]], [2.0])
+        out = tmp_path / "res.json"
+        (tmp_path / "res.json.manifest.json").mkdir()
+        rc = main(["solve", "--family", "bp", "--p", "3", "--matrix", mp, "--rhs", yp,
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "res.json.manifest.json" in err
+        assert err.count("\n") == 1
+
 
 class TestGenCommand:
     def test_roundtrip(self, tmp_path):
@@ -206,16 +218,20 @@ class TestRipCommand:
         assert "cap" in capsys.readouterr().err
 
 
+def write_config(tmp_path, **overrides):
+    """Path of a small bp genericity config, with overrides, written to tmp_path."""
+    cfg = {
+        "family": "bp", "m": 3, "N": 8, "p_grid": [3.0], "trials": 5,
+        "master_seed": 7,
+    }
+    cfg.update(overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 class TestExperimentCommand:
-    def config(self, tmp_path, **overrides):
-        cfg = {
-            "family": "bp", "m": 3, "N": 8, "p_grid": [3.0], "trials": 5,
-            "master_seed": 7,
-        }
-        cfg.update(overrides)
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
-        return str(path)
+    config = staticmethod(write_config)
 
     def test_genericity_deterministic(self, tmp_path):
         cfgp = self.config(tmp_path)
@@ -395,6 +411,16 @@ class TestExperimentCommand:
         assert "missing field 'trials'" in err
         assert "missing field 'master_seed'" in err
 
+    def test_unwritable_manifest_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        (tmp_path / "o.csv.manifest.json").mkdir()
+        rc = main(["experiment", "--kind", "genericity", "--config", self.config(tmp_path),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "o.csv.manifest.json" in err
+        assert err.count("\n") == 1
+
     def test_workers_env_default(self, tmp_path, monkeypatch):
         cfgp = self.config(tmp_path, trials=3)
         out1, out2 = tmp_path / "e1.csv", tmp_path / "e2.csv"
@@ -421,3 +447,78 @@ class TestExperimentCommand:
         rc = main(["experiment", "--kind", "genericity", "--config", str(path), "--out", str(tmp_path / "o.csv")])
         assert rc == 1
         assert "bogus" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # an error and --help between two runs leave the second run's CSV as a
+        # fresh process's
+        cfgp = write_config(tmp_path, trials=3)
+        argv = ["experiment", "--kind", "genericity", "--config", cfgp]
+        assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["experiment", "--kind", "genericity"]) == 1
+        assert main(["--help"]) == 0
+        assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+        proc = run_module(*argv, "--out", str(tmp_path / "c.csv"))
+        assert proc.returncode == 0, proc.stderr
+        assert (strip_wall_time((tmp_path / "b.csv").read_text())
+                == strip_wall_time((tmp_path / "c.csv").read_text()))
+
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch, capsys):
+        built = []
+
+        def spy():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            cfgp = write_config(tmp_path, trials=1)
+            for argv in (["--help"], ["rip"], ["experiment", "--kind", "genericity", "--config",
+                                               cfgp, "--out", str(tmp_path / "o.csv")]):
+                main(argv)
+                main(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_build_parser_is_fresh(self):
+        assert build_parser() is not build_parser()
+
+
+def old_trial_csv_row(rec) -> str:
+    """The per-row dict form trial_csv_row replaced, kept as its reference."""
+    row = {c: getattr(rec, c) for c in io_text.CSV_COLUMNS}
+    row["family"] = row["family"].replace("_", "-")
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row.values())
+
+
+def record(**overrides):
+    fields = dict(trial=3, seed=2718281828, m=8, N=20, p=1.5, family="bp", support_size=20,
+                  min_rel_magnitude=0.012345678901234567, kkt_residual=3.3e-13, iterations=7,
+                  status="converged", wall_time_ms=0.1)
+    fields.update(overrides)
+    return analysis.TrialRecord(**fields)
+
+
+class TestWriters:
+    @pytest.mark.parametrize("rec", [
+        record(),
+        record(support_size=0, min_rel_magnitude=0.0, kkt_residual=float("inf"), iterations=0,
+               status="error", wall_time_ms=0.0, error="ValueError: x"),
+        record(kkt_residual=np.float64(1e-300), p=np.float64(3.0)),
+        record(kkt_residual=0, wall_time_ms=2),
+        record(family="bpdn_eta", p=1.2, support_size=19, status="max_iter")])
+    def test_trial_csv_row_matches_reference(self, rec):
+        assert io_text.trial_csv_row(rec) == old_trial_csv_row(rec)
+
+    def test_manifest_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        m = io_text.RunManifest(command="experiment --kind genericity", config_digest="ab" * 32,
+                                master_seed=7, tool_version="0.1", started="s", finished="f")
+        m.write(tmp_path / "m.json")
+        ref = io.StringIO()
+        json.dump(asdict(m), ref, indent=2, sort_keys=True)
+        assert (tmp_path / "m.json").read_bytes() == (ref.getvalue() + "\n").encode()
