@@ -142,12 +142,7 @@ def check_lower_bound(report: SupportReport, m: int, N: int) -> bool:
 # certified support: proving coordinates of the exact solution nonzero
 # ---------------------------------------------------------------------------
 
-_U = np.finfo(float).eps / 2.0  # unit roundoff
-
-
-def _gamma(n: int) -> float:
-    """Rounding allowance of a length-n dot product relative to |a|^T |b|."""
-    return 2.0 * (n + 2) * _U
+_U, _gamma = pnorm._U, pnorm._gamma  # unit roundoff and dot-product allowance
 
 
 def _pow_err(r: np.ndarray) -> np.ndarray:

@@ -132,6 +132,15 @@ def _pow_sum(x: np.ndarray, p: float) -> np.ndarray:
         return _abs_pow_raw(x, p).sum(axis=-1)
 
 
+# the rounding model of the solvers' stopping floors and of the certificate
+_U = np.finfo(float).eps / 2.0  # unit roundoff
+
+
+def _gamma(n: int) -> float:
+    """Rounding allowance of a length-n dot product relative to |a|^T |b|."""
+    return 2.0 * (n + 2) * _U
+
+
 def abs_pow(z, a: float):
     """|z|^a with an explicit zero branch: 0^a = 0 for a > 0, 0^0 = 1.
 

@@ -35,19 +35,19 @@ bp, rr and en run through one damped-Newton driver (_newton) over a stack
 of same-shape instances that share p and the parameters (solve_stack);
 p alone picks one of four branches (bp dual and bp primal on null(A); rr
 residual and rr primal; rr is en at r = p, lam2 = 0, and below p = 2 en
-is rr on augmented data).  The base classes write the boilerplate once:
-_Stack the primal state map, start, trial step, fallback, stopping test
-and row selection (take); _Bp and _Rr the objective, stopping measure and
-result builder.  A branch writes its Newton direction, and
-the two fixed-point forms also their state map, start and stopping
-measure.  The driver keeps every per-instance state in arrays; a family
-stack builds its branch on all its rows, and the driver writes each row's
-result in place.  The bpdn forms run the same driver on rr's branch
-bordered by their constraint (_Bordered): one Newton solve in the rr
-state and log lam together.  Rows it leaves unsolved, and en below p = 2,
-find a root in lam on rr's solution path (_rr_path_root) over a stack in
-lockstep: each round solves the active instances' rr, each at its own lam,
-as one stack.
+is rr on augmented data at its own lam).  The base classes write the
+boilerplate once: _Stack the primal state map, start, trial step,
+fallback, stopping test and row selection (take); _Bp and _Rr the
+objective, stopping measure and result builder.  A branch writes its
+Newton direction, and the two fixed-point forms also their state map,
+start and stopping measure.  The driver keeps every per-instance state in
+arrays; a family stack builds its branch on all its rows, and the driver
+writes each row's result in place.  The bpdn forms, and en below p = 2,
+run the same driver on rr's branch bordered by their constraint
+(_Bordered): one Newton solve in the rr state and log lam together, with
+one stopping rule.  The bpdn rows it leaves unsolved find a root in lam
+on rr's solution path (_rr_path_root) over a stack in lockstep: each
+round solves the active instances' rr, each at its own lam, as one stack.
 Every step works row by row, so an instance's result does not depend on
 the other instances of its stack: solve_bp, solve_rr, solve_en and the
 solve_bpdn_* functions are stacks of one.  Validation happens at the
@@ -295,9 +295,8 @@ class _Stack:
     started at self.x0.  The family classes _Bp and _Rr supply objective
     and results, and _Rr and _BpPrimal gradient_measure (also their
     measure).  A branch writes its direction; the fixed-point forms (_BpDual
-    in nu, _RrResidual in w) also write _at, start and measure, _BpDual its
-    fallback, which hands the row to _BpPrimal, and _Rr the fallback of
-    en's inner rr solves, which takes the row off its root.
+    in nu, _RrResidual in w) also write _at, start and measure, and _BpDual
+    its fallback, which hands the row to _BpPrimal.
 
     take rule: every ndarray attribute holds one entry per instance on axis
     0, and take(rows) slices them all; what the rows share is not an array.
@@ -664,22 +663,17 @@ class _Rr(_Stack):
         A, y, lam = self.A[rows], self.y[rows], self.lam[rows]
         return _kkt_en(A, y, x, None, self.p, self.r, lam, self.lam2)
 
-    def results(self, st, rows, it, ok=None):
-        """`it`: one count or one per row; `ok` by default: the KKT test."""
+    def results(self, st, rows, it, ok):
+        """Converged: the driver's test `ok` and the KKT test at x, which the
+        test in w of _RrResidual does not imply where h underflows."""
         x = st["x"][rows]
         if self.lean:
             return [(xj, lam, it) for xj, lam in zip(x, self.lam[rows, 0])]
         obj = self.objective(x, rows)
         kkt = self.kkt(x, rows)
-        ok = kkt <= self.cfg.kkt_tol * self.scale[rows] if ok is None else ok
-        its = it.tolist() if isinstance(it, np.ndarray) else [it] * len(x)
-        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), its[j],
+        ok = np.asarray(ok) & (kkt <= self.cfg.kkt_tol * self.scale[rows])
+        return [SolveResult(x[j], None, float(obj[j]), float(kkt[j]), it,
                             CONVERGED if ok[j] else MAX_ITER) for j in range(len(x))]
-
-    def fallback(self, st, j, it):
-        if self.lean and self.lam2:  # en's root: a non-finite x takes the row off it
-            return np.full(self.A.shape[2], np.nan), self.lam[j, 0], it
-        return super().fallback(st, j, it)
 
 
 def _augmented(A, y, lam2):
@@ -690,17 +684,24 @@ def _augmented(A, y, lam2):
     return np.concatenate([A, eye], axis=1), np.concatenate([y, np.zeros((B, N))], axis=1)
 
 
-def _reduced(A, e, lam2):
-    """(D, I + A diag(D) A^T) with D = e / (1 + 2 lam2 e): the m x m Schur
-    complement of I + A* diag(e) A*^T on its last N rows (A* = A at lam2 = 0)."""
+def _block(A, e, lam2, rhs):
+    """d with (I + A* diag(e) A*^T) d = rhs, A* of _augmented and rhs of shape
+    (B, rows of A*, k), by the m x m Schur complement I + A diag(D) A^T,
+    D = e / (1 + 2 lam2 e), of the diagonal block of A*'s last N rows."""
     D = e / (1.0 + 2.0 * lam2 * e) if lam2 else e
-    return D, _add_diag(np.matmul(A * D[:, None, :], A.transpose(0, 2, 1)), 1.0)
+    J = _add_diag(np.matmul(A * D[:, None, :], A.transpose(0, 2, 1)), 1.0)
+    if not lam2:
+        return _solve(J, rhs)
+    m, c, At = A.shape[1], np.sqrt(2.0 * lam2), A.transpose(0, 2, 1)
+    d1 = _solve(J, rhs[:, :m] - c * np.matmul(A, D[..., None] * rhs[:, m:]))
+    d2 = (rhs[:, m:] - c * e[..., None] * np.matmul(At, d1)) / (1.0 + 2.0 * lam2 * e)[..., None]
+    return np.concatenate([d1, d2], axis=1)
 
 
 class _RrResidual(_Rr):
     """1 < p <= 2, r = p: x = h(A*^T w / lam) for rr on (A*, y*) of _augmented
     (A* = A at lam2 = 0), by Newton in the residual w = y* - A* x, its SPD
-    Jacobian I + A* diag(h'/lam) A*^T solved through _reduced; merit |G(w)|^2."""
+    Jacobian I + A* diag(h'/lam) A*^T solved by _block; merit |G(w)|^2."""
 
     var = "w"
     slack = 0.0
@@ -709,34 +710,26 @@ class _RrResidual(_Rr):
         super().__init__(*args, **kwargs)
         self.As, self.ys = _augmented(self.A, self.y, self.lam2) if self.lam2 else (self.A, self.y)
 
-    def _at(self, w, rows):
+    def _rr_at(self, w, lam, rows):
         A = self.As[rows]
-        s = _tmv(A, w) / self.lam[rows]
+        s = _tmv(A, w) / lam
         x = pnorm._h(s, self.p)
-        G = w - self.ys[rows] + _mv(A, x)
-        return {"w": w, "s": s, "x": x, "G": G, "merit": _dot(G, G)}
+        return {"w": w, "s": s, "x": x, "G": w - self.ys[rows] + _mv(A, x)}
+
+    def _at(self, w, rows):
+        st = self._rr_at(w, self.lam[rows], rows)
+        st["merit"] = _dot(st["G"], st["G"])
+        return st
 
     def start(self):
-        w = self.ys - _mv(self.As, self.x0)
-        if self.lam2:  # w2 with A*^T w = lam g(x0), so that the start maps to x0 itself
-            N = self.A.shape[2]
-            g = self.lam * pnorm._g(self.x0, self.p) - _tmv(self.A, w[:, :-N])
-            w[:, -N:] = g / np.sqrt(2.0 * self.lam2)
-        return self._at(w, slice(None))
+        return self._at(self.ys - _mv(self.As, self.x0), slice(None))
 
     def measure(self, st):
         return _amax(_tmv(self.As, st["G"])), self.scale
 
     def direction(self, st):
-        A, G, lam2 = self.A, st["G"], self.lam2
         e = pnorm._h_prime(st["s"], self.p) / self.lam
-        D, J = _reduced(A, e, lam2)
-        if not lam2:
-            return _solve(J, -G), -st["merit"], None
-        m, c = A.shape[1], np.sqrt(2.0 * lam2)
-        d1 = _solve(J, c * _mv(A, D * G[:, m:]) - G[:, :m])
-        d2 = -(G[:, m:] + c * e * _tmv(A, d1)) / (1.0 + 2.0 * lam2 * e)
-        return np.concatenate([d1, d2], axis=1), -st["merit"], None
+        return _block(self.A, e, self.lam2, -st["G"][..., None])[..., 0], -st["merit"], None
 
 
 class _EnPrimal(_Rr):
@@ -780,35 +773,17 @@ def _rr_gradient(A, y, x, p, lam, r=None, lam2=0.0):
 
 def _rr_stack(A, y, p, cfg, lam=None, r=None, lam1=None, lam2=0.0):
     """rr (row k at lam or lam[k]) or en (r, lam1, lam2) on a stack of finite
-    instances.  x = 0 solves the rows with A^T y = 0 (for en at r = 1 also
-    ||A^T y||_q <= lam1).  en at p < 2 is rr on (A*, y*) at the root lam* of
-    log lam = log(r lam1 / p) + ((r - p) / p) log ||x(lam)||_p^p (_rr_path_root
-    from the ridge start, unless that passes the KKT test), at the closest
-    point its root saw, or by _first_order if it saw none."""
+    instances, by the family's Newton branch at p.  x = 0 solves the rows
+    with A^T y = 0 (for en at r = 1 also ||A^T y||_q <= lam1)."""
     B, m, N = A.shape
     out = [None] * B
     lam = np.broadcast_to(np.asarray(lam1 if lam is None else lam, dtype=float), (B,))
-    en_root = r is not None and p < 2.0
-    br = (_Rr if en_root else _branch("rr", p))(A, y, p, cfg, lam, None, r, lam2)
+    br = _branch("rr" if r is None else "en", p)(A, y, p, cfg, lam, None, r, lam2)
     done = br.kkt(np.zeros((B, N)), slice(None)) == 0.0 if r == 1.0 else br.scale == 0.0
-    x = np.zeros((B, N))
-    if en_root:
-        x[~done] = br.x0[~done]
-        done |= br.kkt(x, slice(None)) <= cfg.kkt_tol * br.scale
     if done.any():
-        for k, res in zip(np.flatnonzero(done), br.results({"x": x}, done, 0)):
+        for k, res in zip(np.flatnonzero(done), br.results({"x": np.zeros((B, N))}, done, 0, True)):
             out[k] = res
-    rows = np.flatnonzero(~done)
-    if not en_root or not len(rows):
-        _run(br, out, rows)
-        return out
-    one = br.take(rows) if len(rows) < B else br
-    tol = 0.5 * cfg.kkt_tol * one.scale
-    x, lam, iters, _ = _rr_path_root(one.A, one.y, p, cfg, "en", one.lam[:, 0], tol, tol, one.x0,
-                                     _coef(one.x0, p, one.lam, r)[:, 0], lam2, r)
-    unseen = np.isnan(lam).tolist()
-    for j, (k, res) in enumerate(zip(rows, one.results({"x": x}, slice(None), iters))):
-        out[k] = _first_order(one.take([j]), x[j], int(iters[j])) if unseen[j] else res
+    _run(br, out, np.flatnonzero(~done))
     return out
 
 
@@ -825,25 +800,20 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
-def _rr_core(A, y, p, lam, cfg, warm, lam2=0.0, aim=None, target=None, tol=None):
+def _rr_core(A, y, p, lam, cfg, warm, aim=None, target=None, tol=None):
     """The Newton solves on rr's path, row k from warm[k] and lam[k], with A^T y != 0,
-    as arrays (x, lam, iterations):
-
-      aim None   rr on (A*, y*) at lam (_RrResidual or _EnPrimal), the inner
-                 solves of the roots in lam; lam comes back as it went in
-      aim set    the bpdn form of _Bordered (lam2 = 0), in x and lam at once;
-                 lam is the one found, nan on a row that did not converge
-
+    as arrays (x, lam, iterations): with aim None rr at lam (_RrResidual or
+    _EnPrimal), the inner solves of _rr_path_root, lam as it went in; with an
+    aim the bpdn form of _Bordered, lam the one found (nan where not found).
     A call is one solve of every row of its stack.  The benchmark's tracer
     and the tests count the rows solved through this name, and forward
     positional arguments only, so callers pass them by position.
     """
     if aim is None:
-        br = _branch("rr", p)(A, y, p, cfg, lam, warm, lam2=lam2)
+        br = _branch("rr", p)(A, y, p, cfg, lam, warm)
         br.lean = True
     else:
-        br = (_BorderedResidual if p < 2.0 else _BorderedPrimal)(A, y, p, cfg, lam, warm, aim,
-                                                                  target, tol)
+        br = (_BorderedResidual if p < 2.0 else _BorderedPrimal)(A, y, p, cfg, lam, warm, aim, target, tol)
     out = [None] * len(A)
     with np.errstate(all="ignore"):  # a budget too small can overflow x; the callers check x
         _newton(br, out, np.arange(len(A)))
@@ -859,9 +829,10 @@ def solve_en(A, y, p, r, lam1, lam2, cfg: SolverConfig | None = None) -> SolveRe
 
         A^T (A x - y) + (r lam1 / p) ||x||_p^(r-p) grad_f(x) + 2 lam2 x = 0.
 
-    For p >= 2 Newton with the exact Hessian of ||.||_p^r; for 1 < p < 2 rr's
-    residual Newton on A* = [A; sqrt(2 lam2) I], y* = [y; 0] inside a Newton
-    root for lam* = (r lam1 / p) ||x||_p^(r-p) (_rr_stack).  A batch of one.
+    For p >= 2 Newton with the exact Hessian of ||.||_p^r.  For 1 < p < 2 en
+    is rr on A* = [A; sqrt(2 lam2) I], y* = [y; 0] at lam* = (r lam1 / p)
+    ||x||_p^(r-p), solved by one Newton iteration in rr's residual variable
+    and log lam together (_BorderedEn).  A batch of one.
     """
     return _raised(solve_stack("en", *_one(A, y), p, cfg, r=r, lam1=lam1, lam2=lam2)[0])
 
@@ -891,15 +862,14 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
 
     A has shape (B, m, N) and y shape (B, m); params are those of
     solve_<family> (lam for rr; r, lam1, lam2 for en; eps or eta for the
-    bpdn forms, each a scalar or one value per instance).  bp, rr and en
-    run one damped-Newton driver over the whole stack, each instance with
-    its own stopping test, stall guard, Armijo step and line-search
-    failure; an instance that needs the first-order fallback leaves the
-    stack and finishes alone.  The bpdn forms run their Pareto-path
-    root-find over the stack in lockstep.  Returns one entry per instance:
-    the SolveResult of solve_<family>(A[k], y[k], p, ...), bit for bit, or
-    the exception that call raises.  Invalid p, parameters or config raise
-    here.
+    bpdn forms, each a scalar or one value per instance).  One
+    damped-Newton driver runs over the whole stack, each instance with its
+    own stopping test, stall guard, Armijo step and line-search failure; an
+    instance that needs a fallback leaves the stack and finishes alone (the
+    bpdn forms' path root-find runs its rows in lockstep).  Returns one
+    entry per instance: the SolveResult of solve_<family>(A[k], y[k], p,
+    ...), bit for bit, or the exception that call raises.  Invalid p,
+    parameters or config raise here.
     """
     cfg = cfg or SolverConfig()
     cfg.validate()
@@ -1043,44 +1013,46 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
 
 
 class _Bordered:
-    """A bpdn form as one Newton solve in z = (v, t), t = log lam and v the
-    state of the rr branch it extends (w below p = 2, x from p = 2): the
-    branch's residual G at lam = exp(t) and the constraint
+    """A bpdn form, or en below p = 2, as one Newton solve in z = (v, t),
+    t = log lam and v the state of the rr branch it extends (w below p = 2,
+    x from p = 2): the branch's residual G at lam = exp(t) and the constraint
 
       c = log(||r||_2 / eps)  aim "residual", r = A x - y (below p = 2, w)
       c = log(||x||_p / eta)  aim "norm"
+      c = t - log(r lam1 / p) - ((r - p) / p) log ||x||_p^p  aim "en" (_BorderedEn)
 
     vanish together (Keller's bordering method, 1977).  A step solves the
-    branch's Newton matrix for -G and -dG/dt as one block (_solve); the
-    constraint row, linearized, then gives dt.  The merit is
-    ||G / sigma||^2 + c^2, sigma the scale of G, so the Newton slope is -2
-    merit.  A row is done when the branch's own rr test passes and
-    |value - target| <= tol, value ||A x - y||_2 or ||x||_p.  Its result is
-    (x, lam, iterations), with lam = nan when it stalls, exhausts the budget
-    or fails its line search.
-
-    A subclass supplies sigma, the start _v0 (and _t0 unless it is the
-    start's lam), the state map _rr_at of v at lam, the rr residual of the
-    stopping test, and _linear: the Newton matrix, its two right-hand sides
-    and the gradient of c in v and in t.
+    branch's Newton matrix for -G and -dG/dt as one block; the linearized
+    constraint gives dt.  The merit is ||G / sigma||^2 + c^2 (sigma the scale
+    of G), its Newton slope -2 merit; the stall guard reads sqrt(merit).  A
+    row is done when its rr residual is at most max(1e-3 kkt_tol scale, its
+    rounding floor _floor), capped at kkt_tol scale, and its gap meets tol:
+    |value - target| (value ||A x - y||_2 or ||x||_p), or for en the rest of
+    its gradient, (lam - lam*) max |s|, held to the rr test.  A bpdn result
+    is (x, lam, iterations), lam = nan where the row stalls, exhausts the
+    budget or fails its line search.  Subclasses supply sigma, _v0 (and
+    _t0), _rr_at, _rr_residual, _floor and _linear (the solved block, dc).
     """
 
     var = "z"
     slack = 0.0
 
-    def __init__(self, A, y, p, cfg, lam, warm, aim, target, tol):
-        super().__init__(A, y, p, cfg, lam, warm)
+    def __init__(self, A, y, p, cfg, lam, warm, aim, target, tol, r=None, lam2=0.0):
+        super().__init__(A, y, p, cfg, lam, warm, r, lam2)
         self.aim, self.target, self.tol = aim, target, tol
 
     def _at(self, z, rows):
         lam = np.exp(z[:, -1:])
         st = self._rr_at(z[:, :-1], lam, rows)
         if self.aim == "residual":
-            value = np.sqrt(_dot(st["r"], st["r"]))
+            c = np.log(np.sqrt(_dot(st["r"], st["r"])) / self.target[rows])
         else:
-            st["F"] = pnorm._pow_sum(st["x"], self.p)
-            value = st["F"] ** (1.0 / self.p)
-        c = np.log(value / self.target[rows])
+            F = st["F"] = pnorm._pow_sum(st["x"], self.p)
+            if self.aim == "norm":
+                c = np.log(F ** (1.0 / self.p) / self.target[rows])
+            else:  # at r = p, c = t - log lam1 even where F underflows to 0
+                k = (self.r - self.p) / self.p
+                c = z[:, -1] - self.target[rows] - (k * np.log(F) if k else 0.0)
         G = st["G"] / self.sigma[rows, None]
         st.update(z=z, lam=lam, c=c, merit=_dot(G, G) + c * c)
         return st
@@ -1093,22 +1065,24 @@ class _Bordered:
         return np.log(self.lam)
 
     def measure(self, st):
-        """(the larger of the two tests' ratios to their tolerances, 1) for the stall test."""
+        """(sqrt(merit), 1) for the stall test; the stopping test's parts go to st."""
         if self.aim == "residual":  # of A x - y itself, which w equals only at the solution
             r = _mv(self.A, st["x"]) - self.y
-            value = np.sqrt(_dot(r, r))
-        else:
-            value = st["F"] ** (1.0 / self.p)
-        st["gap"] = np.abs(value - self.target)
-        st["rr"] = self._rr_residual(st)
-        return np.maximum(st["rr"] / (self.cfg.kkt_tol * self.scale), st["gap"] / self.tol), 1.0
+            st["gap"] = np.abs(np.sqrt(_dot(r, r)) - self.target)
+        elif self.aim == "norm":
+            st["gap"] = np.abs(st["F"] ** (1.0 / self.p) - self.target)
+        else:  # lam* = lam exp(-c)
+            st["gap"] = np.abs(st["lam"][:, 0] * np.expm1(-st["c"])) * _amax(st["s"])
+        rr, tol = self._rr_residual(st), self.cfg.kkt_tol * self.scale
+        floor = self._floor(st) if ((rr > 1e-3 * tol) & (rr <= tol)).any() else 0.0  # only there it counts
+        st["rr"], st["rr_tol"] = rr, np.minimum(np.maximum(1e-3 * tol, floor), tol)
+        return np.sqrt(st["merit"]), 1.0
 
-    def done(self, st, res, scale):
-        return (st["rr"] <= self.cfg.kkt_tol * self.scale) & (st["gap"] <= self.tol)
+    def done(self, st, res, scale):  # en (tol None) holds its gap to the rr test
+        return (st["rr"] <= st["rr_tol"]) & (st["gap"] <= (st["rr_tol"] if self.tol is None else self.tol))
 
     def direction(self, st):
-        J, rhs, cv, ct = self._linear(st)
-        d = _solve(J, rhs)
+        d, cv, ct = self._linear(st)
         a, b = d[..., 0], d[..., 1]
         dt = -(st["c"] + _dot(cv, a)) / (_dot(cv, b) + ct)
         d = np.concatenate([a + dt[:, None] * b, dt[:, None]], axis=1)
@@ -1124,12 +1098,13 @@ class _Bordered:
 
 
 class _BorderedResidual(_Bordered, _RrResidual):
-    """1 < p < 2: v = w and G = w - y + A h(s), s = A^T w / lam, whose Newton
-    matrix in w is _reduced's I + A diag(E) A^T, E = h'(s) / lam."""
+    """1 < p < 2: v = w and G = w - y* + A* h(s), s = A*^T w / lam, whose
+    Newton matrix in w is I + A* diag(E) A*^T, E = h'(s) / lam (_block)."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.sigma = np.sqrt(_dot(self.y, self.y))
+        self.absA = np.abs(self.As)
 
     def _v0(self):
         return self.y - _mv(self.A, self.x0)
@@ -1147,26 +1122,71 @@ class _BorderedResidual(_Bordered, _RrResidual):
         return (np.log(norm_q / self.p) - (self.p - 1.0) * np.log(self.target))[:, None]
 
     def _rr_at(self, w, lam, rows):
-        A = self.A[rows]
-        s = _tmv(A, w) / lam
-        x = pnorm._h(s, self.p)
-        return {"s": s, "x": x, "r": w, "G": w - self.y[rows] + _mv(A, x)}
+        st = super()._rr_at(w, lam, rows)
+        st["r"] = st.pop("w")
+        return st
 
     def _rr_residual(self, st):
-        return _amax(_tmv(self.A, st["G"]))
+        return _amax(_tmv(self.As, st["G"]))
+
+    def _floor(self, st):
+        """gamma(n) max |A*|^T (|w| + |y*| + |A*| (|x| + E |A*|^T |w|)), n the rows and
+        columns of A*: the forward error of A*^T G (Higham, Accuracy and Stability,
+        2nd ed., ch. 3), the rounding of A*^T w carried through h by E = h'(s) / lam."""
+        absA, w = self.absA, np.abs(st["r"])
+        E = pnorm._h_prime(st["s"], self.p) / st["lam"]
+        bound = _tmv(absA, w + np.abs(self.ys) + _mv(absA, np.abs(st["x"]) + E * _tmv(absA, w)))
+        return pnorm._gamma(sum(self.As.shape[1:])) * _amax(bound)
 
     def _linear(self, st):
-        """dx = E A^T dw - lam E s dt, so dG/dt = -lam u with u = A (E s), and
-        with g(x) = s, p ||x||_p^p dc = u^T dw - lam s^T E s dt (aim "norm")."""
+        """dx = E A*^T dw - lam E s dt, so dG/dt = -lam u with u = A* (E s); with
+        g(x) = s, F = ||x||_p^p moves by dF = u^T dw - lam s^T E s dt, and
+        dc = dF / (p F) (aim "norm") or dt - ((r - p) / p) dF / F (aim "en")."""
         lam, s = st["lam"], st["s"]
-        E, J = _reduced(self.A, pnorm._h_prime(s, self.p) / lam, 0.0)
+        E = pnorm._h_prime(s, self.p) / lam
         Es = E * s
-        u = _mv(self.A, Es)
-        rhs = np.stack([-st["G"], lam * u], axis=-1)
+        u = _mv(self.As, Es)
+        d = _block(self.A, E, self.lam2, np.stack([-st["G"], lam * u], axis=-1))
         if self.aim == "residual":  # c of w alone
-            return J, rhs, st["r"] / _dot(st["r"], st["r"])[:, None], 0.0
-        pF = self.p * st["F"]
-        return J, rhs, u / pF[:, None], -lam[:, 0] * _dot(s, Es) / pF
+            return d, st["r"] / _dot(st["r"], st["r"])[:, None], 0.0
+        dF_dt = -lam[:, 0] * _dot(s, Es)
+        if self.aim == "norm":
+            pF = self.p * st["F"]
+            return d, u / pF[:, None], dF_dt / pF
+        k = (self.r - self.p) / (self.p * st["F"])
+        return d, -k[:, None] * u, 1.0 - k * dF_dt
+
+
+class _BorderedEn(_BorderedResidual):
+    """en below p = 2: rr on (A*, y*) of _augmented at lam* = (r lam1 / p)
+    ||x||_p^(r-p) (Zou & Hastie, J. R. Stat. Soc. B 2005, Lemma 1) by aim
+    "en", from the ridge start x0 at lam*(x0).  Its lam is lam1, as in _Rr's
+    objective, gradient and KKT test, and a failed line search ends in _first_order."""
+
+    fallback = _Stack.fallback
+
+    def __init__(self, A, y, p, cfg, lam, warm=None, r=None, lam2=0.0):
+        super().__init__(A, y, p, cfg, lam, warm, "en", np.log(r / p * lam), None, r, lam2)
+
+    def results(self, st, rows, it, ok):
+        """en's; a stalled row whose x has no zero (g' is infinite at 0) finishes from
+        x by en's primal Newton (_EnPrimal), past the rounding of h(A*^T w / lam)."""
+        out, x = _Rr.results(self, st, rows, it, ok), st["x"][rows]
+        left = np.array([j for j, res in enumerate(out) if not res.converged and x[j].all()], dtype=int)
+        if len(left) and it < self.cfg.max_iter:
+            one = self.take(np.arange(self.size)[rows][left])
+            _newton(_EnPrimal(one.A, one.y, self.p, replace(self.cfg, max_iter=self.cfg.max_iter - it),
+                              one.lam[:, 0], x[left], self.r, self.lam2), out, left)
+            for j in left:
+                out[j] = replace(out[j], iterations=it + out[j].iterations)
+        return out
+
+    def start(self):  # A*^T w = lam g(x0) maps to x0 itself; y* - A* x0 overflows h on badly scaled rows
+        lam = _coef(self.x0, self.p, self.lam, self.r)
+        w = self.ys - _mv(self.As, self.x0)
+        N = self.A.shape[2]
+        w[:, -N:] = (lam * pnorm._g(self.x0, self.p) - _tmv(self.A, w[:, :-N])) / np.sqrt(2.0 * self.lam2)
+        return self._at(np.concatenate([w, np.log(lam)], axis=1), slice(None))
 
 
 class _BorderedPrimal(_Bordered, _EnPrimal):
@@ -1176,6 +1196,7 @@ class _BorderedPrimal(_Bordered, _EnPrimal):
     def __init__(self, *args):
         super().__init__(*args)
         self.sigma = self.scale
+        self.absA = np.abs(self.A)
 
     def _v0(self):
         return self.x0
@@ -1189,14 +1210,20 @@ class _BorderedPrimal(_Bordered, _EnPrimal):
     def _rr_residual(self, st):
         return _amax(st["G"])
 
+    def _floor(self, st):
+        """gamma(m + N) max (|A|^T (|y| + |A| |x|) + lam |g(x)|), the forward error of G."""
+        bound = (_tmv(self.absA, np.abs(self.y) + _mv(self.absA, np.abs(st["x"])))
+                 + st["lam"] * np.abs(st["g"]))
+        return pnorm._gamma(sum(self.A.shape[1:])) * _amax(bound)
+
     def _linear(self, st):
         """c is of x alone: dc = r^T A dx / ||r||^2 or g(x)^T dx / (p ||x||_p^p)."""
         lam, g, r = st["lam"], st["g"], st["r"]
         J = _add_diag(self.AtA.copy(), lam * pnorm._g_prime(st["x"], self.p))
-        rhs = np.stack([-st["G"], -lam * g], axis=-1)
+        d = _solve(J, np.stack([-st["G"], -lam * g], axis=-1))
         if self.aim == "residual":
-            return J, rhs, _tmv(self.A, r) / _dot(r, r)[:, None], 0.0
-        return J, rhs, g / (self.p * st["F"][:, None]), 0.0
+            return d, _tmv(self.A, r) / _dot(r, r)[:, None], 0.0
+        return d, g / (self.p * st["F"][:, None]), 0.0
 
 
 def _bpdn_start(A, y, p, aim, target, x_ls):
@@ -1215,12 +1242,6 @@ def _bpdn_start(A, y, p, aim, target, x_ls):
     return x_bar, np.where(np.isfinite(lam), np.maximum(lam, 1e-12 * mean_sq), mean_sq)
 
 
-def _inner(cfg):
-    """cfg of the Newton solves on the path: polished well below the match
-    tolerance, so the path value and its slope carry negligible noise."""
-    return replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))
-
-
 def _bpdn_path(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
     """(x, lam, iterations, found) of every bpdn row, aim "residual" or "norm":
     the bordered Newton (_rr_core with aim) from _bpdn_start, and
@@ -1230,7 +1251,7 @@ def _bpdn_path(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
     if not B:
         return np.zeros((0, N)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
     x_bar, lam = _bpdn_start(A, y, p, aim, target, x_ls)
-    x, lam, iters = _rr_core(A, y, p, lam, _inner(cfg), x_bar, 0.0, aim, target, tol)
+    x, lam, iters = _rr_core(A, y, p, lam, cfg, x_bar, aim, target, tol)
     found = np.isfinite(lam)
     rows = np.flatnonzero(~found)
     if len(rows):
@@ -1240,65 +1261,52 @@ def _bpdn_path(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
     return x, lam, iters, found
 
 
-def _path_dx(A, p, lam, x, lam2=0.0):
-    """dx/dlam on the rr path on (A*, y*) (_RrResidual) of every row of a stack.
+def _path_dx(A, p, lam, x):
+    """dx/dlam on the rr path of every row of a stack.
 
-    Differentiating A*^T (A* x - y*) + lam g(x) = 0 gives
-    (A^T A + diag(lam g'(x) + 2 lam2)) dx = -g(x).  For p >= 2 that n x n
-    system is solved as it stands; for 1 < p < 2, where g' blows up at 0, it
-    is solved in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m
-    matrix of the residual Newton iteration (_reduced).
+    Differentiating A^T (A x - y) + lam g(x) = 0 gives
+    (A^T A + diag(lam g'(x))) dx = -g(x).  For p >= 2 that n x n system is
+    solved as it stands; for 1 < p < 2, where g' blows up at 0, it is
+    solved in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m
+    matrix of the residual Newton iteration (_block).
     """
     g = pnorm._g(x, p)
     if p >= 2.0:
-        J = _add_diag(np.matmul(A.transpose(0, 2, 1), A),
-                      lam[:, None] * pnorm._g_prime(x, p) + 2.0 * lam2)
+        J = _add_diag(np.matmul(A.transpose(0, 2, 1), A), lam[:, None] * pnorm._g_prime(x, p))
         return _solve(J, -g)
-    D, J = _reduced(A, pnorm._h_prime(g, p) / lam[:, None], lam2)
-    return D * (_tmv(A, _solve(J, _mv(A, D * g))) - g)
+    D = pnorm._h_prime(g, p) / lam[:, None]
+    return D * (_tmv(A, _block(A, D, 0.0, _mv(A, D * g)[..., None])[..., 0]) - g)
 
 
-def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=0.0, r=None):
-    """Find, on each row k of a stack, lam on its rr path x(lam) where the path meets `aim`
-    (en's root, and the bpdn rows _Bordered leaves unsolved):
+def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
+    """Find, on each row k of a stack, lam on its rr path x(lam) where the path
+    meets `aim`, for the bpdn rows that _Bordered leaves unsolved:
 
       "residual"  ||A x - y||_2 = target[k] (bpdn_eps); it grows with lam
       "norm"      ||x||_p = target[k] (bpdn_eta); it falls
-      "en"        lam = lam* = _coef(x, p, target[k], r) on (A*, y*), by the gap
-                  (lam - lam*) max |g(x)| the inner solve leaves of en's gradient
 
-    An en row starts at lam[k] and x0[k], a bpdn row at _bpdn_start of x0 =
-    x_ls, the least-norm solution of A x = y.  Newton steps in
-    log lam on log ||A x - y||, on ||x||_p or on log lam - log lam*(x) take
-    their slope from _path_dx, and each starts its rr solve on the tangent,
-    x + dx/dlam (lam_new - lam).  The bracket [lo, hi] seen so far guards
-    them: a step that leaves it, or that follows a Newton step which failed
-    to halve the mismatch, is replaced by a geometric one (x8, /8 or
-    sqrt(lo hi)) that starts from x.  lam0 and the floor 1e-12 mean(A * A)
-    scale as c^2 when (A, y) scales by c, so the iteration is scale-free; a
-    non-finite lam0 gives way to mean(A * A).  A row aims for
-    |gap| <= tol; when its bracket collapses to machine width first (the
-    tolerance sits below what the inner solves can certify), the closest
-    point is still accepted if it matches within tol_floor.
-
-    The rows run in lockstep: each round solves the active rows' rr at their
-    own lam as one stack (_rr_core) and takes one stacked _path_dx, and a
-    row leaves when it matches, its bracket collapses, it reaches the floor,
-    it has used 200 inner solves, or its inner solve returns a non-finite x
-    (a budget too small for the inner solves).  Each row's numbers depend
-    on that row alone.  Returns (x, lam, inner_iterations, found) over the
-    rows; found is False where even the floor lies past the target, no point
-    met tol_floor, or an inner x was not finite.  Where not found, x and lam
-    are the closest point seen and its lam (the start and nan if no inner
-    solve gave a finite x).
+    A row starts at _bpdn_start of x_ls.  Newton steps in log lam on
+    log ||A x - y|| or on ||x||_p take their slope from _path_dx and start
+    each rr solve on the tangent, x + dx/dlam (lam_new - lam).  The bracket
+    [lo, hi] seen so far guards them: a step that leaves it, or follows a
+    Newton step that failed to halve the mismatch, is replaced by a
+    geometric one (x8, /8 or sqrt(lo hi)) from x.  lam0 and the floor
+    1e-12 mean(A * A) scale as c^2 with (A, y), so the iteration is
+    scale-free.  A row aims for |gap| <= tol, or tol_floor once its bracket
+    collapses to machine width.  The rows run in lockstep, each row's
+    numbers its own: each round solves the active rows' rr as one stack
+    (_rr_core) and takes one stacked _path_dx.  A row leaves when it
+    matches, its bracket collapses, it reaches the floor, it has used 200
+    inner solves, or its inner x is not finite (a budget too small).
+    Returns (x, lam, inner_iterations, found); where not found (even the
+    floor lies past the target, no point met tol_floor, or an inner x was
+    not finite), x and lam are the closest point seen and its lam (the
+    start and nan if no inner x was finite).
     """
-    inner_cfg = _inner(cfg)
+    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))  # well below the match tolerance
     B, m, N = A.shape
-    mean_sq = (A * A).reshape(B, m * N).mean(axis=1)
-    floor = 1e-12 * mean_sq
-    if lam is None:
-        x0, lam = _bpdn_start(A, y, p, aim, target, x0)
-    lam = np.where(np.isfinite(lam), np.maximum(lam, floor), mean_sq)
+    floor = 1e-12 * (A * A).reshape(B, m * N).mean(axis=1)
+    x0, lam = _bpdn_start(A, y, p, aim, target, x_ls)
     x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
     iters, found = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
     grows = aim != "norm"
@@ -1307,19 +1315,13 @@ def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=
          "total": np.zeros(B, dtype=int), "best": np.full(B, np.inf), "best_x": x0.copy(),
          "best_lam": np.full(B, np.nan), "last_gap": np.full(B, np.inf), "newton": np.zeros(B, dtype=bool)}
     for solves in range(1, 201):  # budget of inner rr solves
-        if not B:
-            break
-        x, _, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"], lam2)
+        x, _, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"])
         s["total"] = s["total"] + inner
         with np.errstate(all="ignore"):
             res = _mv(s["A"], x) - s["y"]
             value = (np.sqrt(_dot(res, res)) if aim == "residual"
                      else pnorm._pow_sum(x, p) ** (1.0 / p))
             gap = value - s["target"]
-            if aim == "en":
-                lam_en = _coef(x, p, s["target"][:, None], r)[:, 0]
-                gap = (s["lam"] - lam_en) * _amax(pnorm._g(x, p))
-                s["phi"] = np.log(s["lam"] / lam_en)
         lost = ~(np.isfinite(x).all(axis=1) & np.isfinite(gap))
         match = ~lost & (np.abs(gap) <= s["tol"])
         better = ~lost & (np.abs(gap) < s["best"])
@@ -1345,7 +1347,7 @@ def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=
         x = s["x"]
         lam, lo, hi = s["lam"], s["lo"], s["hi"]
         with np.errstate(all="ignore"):
-            dx = _path_dx(s["A"], p, lam, x, lam2)
+            dx = _path_dx(s["A"], p, lam, x)
             if aim == "residual":
                 # Newton on log ||r||, which is near linear in log lam where
                 # the residual grows like lam; ||x||_p is stepped on as it is
@@ -1354,9 +1356,6 @@ def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x0, lam=None, lam2=
             else:
                 phi = s["gap"]
                 slope = lam * _dot(pnorm._g(x / s["value"][:, None], p), dx) / p
-                if aim == "en":  # d log lam* / d log lam = (r - p) d log ||x||_p / d log lam
-                    phi = s["phi"]
-                    slope = 1.0 - (r - p) * slope / s["value"]
             step = lam * np.exp(-phi / slope)
             # an open side of the bracket reaches one geometric step out
             up, down = hi == np.inf, lo == 0.0
@@ -1563,7 +1562,7 @@ FAMILIES = {
                         per_row=True, multiplier="mu"),
     "rr": _Family(("lam",), _P_GT1, solve_rr, _kkt_rr, _rr_stack, (_RrResidual, _EnPrimal)),
     "en": _Family(("r", "lam1", "lam2"), _P_GT1, solve_en, _kkt_en, _rr_stack,
-                  (_RrResidual, _EnPrimal)),
+                  (_BorderedEn, _EnPrimal)),
     "bp_l1": _Family((), None, solve_bp_l1, _kkt_bp_l1, multiplier="nu"),
     "rr_irls": _Family(("lam",), (0.0, 1.0), solve_rr_irls, _kkt_rr_irls),
 }
