@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
         "reduced_to_bp": res.reduced_to_bp,
         "support": asdict(rep),  # json writes the indices tuple as a list
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         digest = io_text.config_digest({k: v for k, v in vars(args).items() if k != "func"})
         try:
@@ -113,6 +113,15 @@ def cmd_solve(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_OK if res.status == CONVERGED else EXIT_NO_CONVERGENCE
+
+
+def _finite(v):
+    """v with each non-finite float in it as None, JSON's null."""
+    if isinstance(v, dict):
+        return {k: _finite(e) for k, e in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(e) for e in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 # ---------------------------------------------------------------------------

@@ -45,19 +45,19 @@ arrays; a family stack builds its branch on all its rows, and the driver
 writes each row's result in place.  The bpdn forms, and en below p = 2,
 run the same driver on rr's branch bordered by their constraint
 (_Bordered): one Newton solve in the rr state and log lam together, with
-one stopping rule.  The bpdn rows it leaves unsolved find a root in lam
-on rr's solution path (_rr_path_root) over a stack in lockstep: each
-round solves the active instances' rr, each at its own lam, as one stack.
-Every step works row by row, so an instance's result does not depend on
-the other instances of its stack: solve_bp, solve_rr, solve_en and the
-solve_bpdn_* functions are stacks of one.  Validation happens at the
-public functions; the inner loops call unchecked pnorm kernels.
+one stopping rule.  Below p = 2 the bpdn forms meet their constraint in
+closed form and line-search their convex dual (_BorderedDual); a bpdn row
+that Newton leaves unsolved ends degenerate.  Every step works row by row,
+so an instance's result does not depend on the other instances of its
+stack: solve_bp, solve_rr, solve_en and the solve_bpdn_* functions are
+stacks of one.  Validation happens at the public functions; the inner
+loops call unchecked pnorm kernels.
 
 One QR factorization A^T = Q R per row (_qr) answers all that bp, the
 bpdn forms and bp_l1 ask of A: its row rank, the least-norm point, the
 projection onto A x = y, bp's multiplier and null(A); none goes via A A^T.
-Every other system (Newton, warm start, path slope, IRLS step) is solved by
-numpy.linalg's LU, one stacked call per stack (_solve); scipy.linalg is not used.
+Every other system (Newton, warm start, IRLS step) is solved by numpy.linalg's
+LU, one stacked call per stack (_solve); scipy.linalg is not used.
 """
 
 from __future__ import annotations
@@ -202,6 +202,7 @@ _LS_SHRINK = 0.5     # Armijo backtracking factor
 _LS_DECREASE = 1e-4  # Armijo sufficient-decrease fraction
 _FIRST_ORDER_MAX_ITER = 50000  # step budget of _first_order
 _PATH_MATCH_TOL = 1e-10  # bpdn path match, relative to ||y||_2 (eps form) or eta
+_T_DROP = 2.0  # largest fall of log lam in one bordered step from p = 2
 
 
 def _mv(A, x):
@@ -282,6 +283,7 @@ class _Stack:
       start()                    -> state: dict of per-instance arrays, with var and "merit"
       measure(st)                -> (residual, scale) of the Newton stopping and stall tests
       done(st, res, scale)       -> the rows that pass the stopping test, res <= kkt_tol scale
+      gained(res, best)          -> the rows whose res resets the stall count
       direction(st)              -> (d, slope of the merit along d, failed rows or None)
       trial(st, rows, step)      -> the state of `rows` at st[var][rows] + step
       fallback(st, j, it)        -> SolveResult of row j from _first_order
@@ -290,7 +292,7 @@ class _Stack:
                                     test, st["G"] the gradient on the feasible set at st["x"]
       results(st, rows, it, ok)  -> SolveResults of `rows` from st["x"] (and st["nu"] for bp)
 
-    _Stack supplies start, trial, fallback, done and take, and the state map
+    _Stack supplies start, trial, fallback, done, gained and take, and the state map
     _at(x, rows) of the primal branches: x and its objective as the merit,
     started at self.x0.  The family classes _Bp and _Rr supply objective
     and results, and _Rr and _BpPrimal gradient_measure (also their
@@ -336,6 +338,9 @@ class _Stack:
     def done(self, st, res, scale):
         return res <= self.cfg.kkt_tol * scale
 
+    def gained(self, res, best):  # the rows whose stall measure gains on its best
+        return res <= best * (1.0 - _STALL_GAIN)
+
 
 def _newton(br, out, rows):
     """Damped Newton with Armijo backtracking on every instance of branch `br`.
@@ -354,7 +359,7 @@ def _newton(br, out, rows):
     for it in range(cfg.max_iter + 1):
         res, scale = br.measure(st)
         done = br.done(st, res, scale)
-        st["count"] = np.where(res <= st["best"] * (1.0 - _STALL_GAIN), 0, st["count"] + 1)
+        st["count"] = np.where(br.gained(res, st["best"]), 0, st["count"] + 1)
         st["best"] = np.minimum(st["best"], res)
         leave = done | (st["count"] >= _STALL_PATIENCE)
         if it == cfg.max_iter:
@@ -630,7 +635,6 @@ class _Rr(_Stack):
     lam, as a column.  The start is the p = 2 solution at twice lam + lam2
     unless `warm` gives one."""
 
-    lean = False  # results: (x, lam, iterations) alone, for the inner solves of a root in lam
     gram = False  # keeps A^T A as AtA (the p >= 2 branches)
 
     def __init__(self, A, y, p, cfg, lam, warm=None, r=None, lam2=0.0):
@@ -667,8 +671,6 @@ class _Rr(_Stack):
         """Converged: the driver's test `ok` and the KKT test at x, which the
         test in w of _RrResidual does not imply where h underflows."""
         x = st["x"][rows]
-        if self.lean:
-            return [(xj, lam, it) for xj, lam in zip(x, self.lam[rows, 0])]
         obj = self.objective(x, rows)
         kkt = self.kkt(x, rows)
         ok = np.asarray(ok) & (kkt <= self.cfg.kkt_tol * self.scale[rows])
@@ -800,20 +802,11 @@ def solve_rr(A, y, p, lam, cfg: SolverConfig | None = None) -> SolveResult:
     return _raised(solve_stack("rr", *_one(A, y), p, cfg, lam=lam)[0])
 
 
-def _rr_core(A, y, p, lam, cfg, warm, aim=None, target=None, tol=None):
-    """The Newton solves on rr's path, row k from warm[k] and lam[k], with A^T y != 0,
-    as arrays (x, lam, iterations): with aim None rr at lam (_RrResidual or
-    _EnPrimal), the inner solves of _rr_path_root, lam as it went in; with an
-    aim the bpdn form of _Bordered, lam the one found (nan where not found).
-    A call is one solve of every row of its stack.  The benchmark's tracer
-    and the tests count the rows solved through this name, and forward
-    positional arguments only, so callers pass them by position.
-    """
-    if aim is None:
-        br = _branch("rr", p)(A, y, p, cfg, lam, warm)
-        br.lean = True
-    else:
-        br = (_BorderedResidual if p < 2.0 else _BorderedPrimal)(A, y, p, cfg, lam, warm, aim, target, tol)
+def _rr_core(A, y, p, lam, cfg, warm, aim, target, tol):
+    """(x, lam, iterations) of every row of a bpdn stack, aim "residual" or
+    "norm", by _Bordered from warm and lam (lam nan where not found).  The
+    tracer and the tests count its rows and forward positional arguments."""
+    br = (_BorderedDual if p < 2.0 else _BorderedPrimal)(A, y, p, cfg, lam, warm, aim, target, tol)
     out = [None] * len(A)
     with np.errstate(all="ignore"):  # a budget too small can overflow x; the callers check x
         _newton(br, out, np.arange(len(A)))
@@ -865,8 +858,7 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
     bpdn forms, each a scalar or one value per instance).  One
     damped-Newton driver runs over the whole stack, each instance with its
     own stopping test, stall guard, Armijo step and line-search failure; an
-    instance that needs a fallback leaves the stack and finishes alone (the
-    bpdn forms' path root-find runs its rows in lockstep).  Returns one
+    instance that needs a fallback leaves the stack and finishes alone.  Returns one
     entry per instance: the SolveResult of solve_<family>(A[k], y[k], p,
     ...), bit for bit, or the exception that call raises.  Invalid p,
     parameters or config raise here.
@@ -901,26 +893,27 @@ def solve_stack(family, A, y, p, cfg: SolverConfig | None = None, **params) -> l
 
 
 def _full_row_rank(family, A, y, out):
-    """(rows of A with full row rank, x_ls = Q1 R^-T y of every row) by _qr; the
-    other rows get the family's RankDeficientError in out."""
+    """(rows of full row rank, x_ls = Q1 R^-T y and v = R^-1 R^-T y = (A A^T)^-1 y of
+    every row) by _qr; the other rows get the family's RankDeficientError in out."""
     full, Rinv, Q1 = _qr(A)
     for k in np.flatnonzero(~full):
         out[k] = RankDeficientError(f"{family} requires A with full row rank")
-    return np.flatnonzero(full), _mv(Q1, _tmv(Rinv, y))
+    u = _tmv(Rinv, y)
+    return np.flatnonzero(full), _mv(Q1, u), _mv(Rinv, u)
 
 
 def _bpdn_eps_stack(A, y, p, cfg, eps):
     B, m, N = A.shape
     out = [None] * B
     ny = np.sqrt(_dot(y, y))
-    rows, x_ls = _full_row_rank("bpdn_eps", A, y, out)
+    rows, x_ls, v = _full_row_rank("bpdn_eps", A, y, out)
     slack = eps[rows] >= ny[rows]
     for k in rows[slack]:
         out[k] = SolveResult(np.zeros(N), 0.0, 0.0, 0.0, 0, CONVERGED)
     rows = rows[~slack]
     A, y, eps = A[rows], y[rows], eps[rows]
     x, lam, iters, found = _bpdn_path(A, y, p, cfg, "residual", eps, _PATH_MATCH_TOL * ny[rows],
-                                      1e-8 * ny[rows], x_ls[rows])
+                                      x_ls[rows], v[rows])
     mu = 1.0 / (2.0 * lam)
     kkt = _kkt_bpdn_eps(A, y, x, mu, p, eps)
     obj = pnorm._pow_sum(x, p) ** (1.0 / p)
@@ -941,7 +934,7 @@ def _bp_of(A, y, p, cfg, rows):
 def _bpdn_eta_stack(A, y, p, cfg, eta):
     B, m, N = A.shape
     out = [None] * B
-    rows, x_ls = _full_row_rank("bpdn_eta", A, y, out)
+    rows, x_ls, v = _full_row_rank("bpdn_eta", A, y, out)
     # every x with A x = y has ||x||_p >= ||x_ls||_2^2 / ||x_ls||_q (Hoelder
     # against the least-norm solution x_ls), so below that bound the
     # constraint is active and bp is not needed; the factor is a rounding
@@ -959,7 +952,7 @@ def _bpdn_eta_stack(A, y, p, cfg, eta):
                                  float(kkt[0]), b.iterations, b.status, reduced_to_bp=True)
     rows = np.array([k for k in rows if out[k] is None], dtype=int)
     x, mu, iters, found = _bpdn_path(A[rows], y[rows], p, cfg, "norm", eta[rows],
-                                     _PATH_MATCH_TOL * eta[rows], 1e-8 * eta[rows], x_ls[rows])
+                                     _PATH_MATCH_TOL * eta[rows], x_ls[rows], v[rows])
     bp.update(_bp_of(A, y, p, cfg, [k for k, f in zip(rows, found) if not (f or k in bp)]))
     r = _mv(A[rows], x) - y[rows]
     kkt = _kkt_bpdn_eta(A[rows], y[rows], x, mu, p, eta[rows])
@@ -987,11 +980,12 @@ def solve_bpdn_eps(A, y, p, eps, cfg: SolverConfig | None = None) -> SolveResult
     ||A x - y||_2 = eps together, in x (or rr's residual variable below
     p = 2) and log lam.  It starts from the least-norm solution x_ls of
     A x = y scaled by 1 - eps / ||y||_2, which meets the constraint, and
-    from the lam that best fits the rr stationarity there.  A row it
-    leaves unsolved finishes by a safeguarded Newton root-find on the path
-    (_rr_path_root) from the same start; the result's iterations are the
-    bordered ones plus the root-find's inner ones.  A batch of one through
-    the stacked solve (see solve_stack).
+    from the lam that best fits the rr stationarity there.  Below p = 2 it
+    runs in nu = (y - A x) / lam instead, with lam = eps / ||nu|| so that the
+    constraint holds at every point, as Newton's method on the convex dual
+    (_BorderedDual) from its minimum on the ray of (A A^T)^-1 y.  A row it
+    leaves unsolved ends degenerate.  A batch of one through the stacked
+    solve (see solve_stack).
     """
     return _raised(solve_stack("bpdn_eps", *_one(A, y), p, cfg, eps=eps)[0])
 
@@ -1005,9 +999,10 @@ def solve_bpdn_eta(A, y, p, eta, cfg: SolverConfig | None = None) -> SolveResult
     is active, the multiplier mu > 0 is unique, and the solution lies on
     the same penalized path at lam = mu, located as for solve_bpdn_eps
     with ||x||_p = eta as the constraint, started from x_ls scaled to
-    ||x||_p = eta.  bp is solved only when eta is not below a dual lower
-    bound on its optimum.  A batch of one through the stacked solve (see
-    solve_stack).
+    ||x||_p = eta; below p = 2 in w = y - A x with lam = (||h(A^T w)||_p /
+    eta)^(p-1), so that ||x||_p = eta at every point.  bp is solved only
+    when eta is not below a dual lower bound on its optimum.  A batch of one
+    through the stacked solve (see solve_stack).
     """
     return _raised(solve_stack("bpdn_eta", *_one(A, y), p, cfg, eta=eta)[0])
 
@@ -1017,21 +1012,23 @@ class _Bordered:
     t = log lam and v the state of the rr branch it extends (w below p = 2,
     x from p = 2): the branch's residual G at lam = exp(t) and the constraint
 
-      c = log(||r||_2 / eps)  aim "residual", r = A x - y (below p = 2, w)
-      c = log(||x||_p / eta)  aim "norm"
+      c = log(||A x - y||_2 / eps)  aim "residual"
+      c = log(||x||_p / eta)        aim "norm"
       c = t - log(r lam1 / p) - ((r - p) / p) log ||x||_p^p  aim "en" (_BorderedEn)
 
     vanish together (Keller's bordering method, 1977).  A step solves the
     branch's Newton matrix for -G and -dG/dt as one block; the linearized
     constraint gives dt.  The merit is ||G / sigma||^2 + c^2 (sigma the scale
-    of G), its Newton slope -2 merit; the stall guard reads sqrt(merit).  A
-    row is done when its rr residual is at most max(1e-3 kkt_tol scale, its
-    rounding floor _floor), capped at kkt_tol scale, and its gap meets tol:
-    |value - target| (value ||A x - y||_2 or ||x||_p), or for en the rest of
-    its gradient, (lam - lam*) max |s|, held to the rr test.  A bpdn result
-    is (x, lam, iterations), lam = nan where the row stalls, exhausts the
-    budget or fails its line search.  Subclasses supply sigma, _v0 (and
-    _t0), _rr_at, _rr_residual, _floor and _linear (the solved block, dc).
+    of G), its Newton slope -2 merit; the stall guard reads sqrt(merit).
+    Below p = 2 the bpdn forms meet c = 0 in closed form and search their
+    convex dual instead (_BorderedDual).  A row is done when its rr
+    residual is at most max(1e-3 kkt_tol scale, its rounding floor _floor),
+    capped at kkt_tol scale, and its gap meets tol: |value - target| (value
+    ||A x - y||_2 or ||x||_p), or for en the rest of its gradient,
+    (lam - lam*) max |s|, held to the rr test.  A bpdn result is (x, lam,
+    iterations), lam = nan where the row stalls, exhausts the budget or
+    fails its line search.  Subclasses supply sigma, start, _rr_at,
+    _rr_residual, _floor and _linear (the solved block, dc).
     """
 
     var = "z"
@@ -1053,19 +1050,12 @@ class _Bordered:
             else:  # at r = p, c = t - log lam1 even where F underflows to 0
                 k = (self.r - self.p) / self.p
                 c = z[:, -1] - self.target[rows] - (k * np.log(F) if k else 0.0)
-        G = st["G"] / self.sigma[rows, None]
+        G = st["G"] / self.sigma[rows]
         st.update(z=z, lam=lam, c=c, merit=_dot(G, G) + c * c)
         return st
 
-    def start(self):
-        v = self._v0()
-        return self._at(np.concatenate([v, self._t0(v)], axis=1), slice(None))
-
-    def _t0(self, v):
-        return np.log(self.lam)
-
     def measure(self, st):
-        """(sqrt(merit), 1) for the stall test; the stopping test's parts go to st."""
+        """(_stall, 1) for the stall test; the stopping test's parts go to st."""
         if self.aim == "residual":  # of A x - y itself, which w equals only at the solution
             r = _mv(self.A, st["x"]) - self.y
             st["gap"] = np.abs(np.sqrt(_dot(r, r)) - self.target)
@@ -1076,7 +1066,10 @@ class _Bordered:
         rr, tol = self._rr_residual(st), self.cfg.kkt_tol * self.scale
         floor = self._floor(st) if ((rr > 1e-3 * tol) & (rr <= tol)).any() else 0.0  # only there it counts
         st["rr"], st["rr_tol"] = rr, np.minimum(np.maximum(1e-3 * tol, floor), tol)
-        return np.sqrt(st["merit"]), 1.0
+        return self._stall(st), 1.0
+
+    def _stall(self, st):
+        return np.sqrt(st["merit"])
 
     def done(self, st, res, scale):  # en (tol None) holds its gap to the rr test
         return (st["rr"] <= st["rr_tol"]) & (st["gap"] <= (st["rr_tol"] if self.tol is None else self.tol))
@@ -1093,33 +1086,19 @@ class _Bordered:
         lam = np.where(ok, st["lam"][rows, 0], np.nan)
         return [(x, lam_j, it) for x, lam_j in zip(st["x"][rows], lam)]
 
-    def fallback(self, st, j, it):
-        return st["x"][j], np.nan, it
+    def fallback(self, st, j, it):  # a failed line search: row j as it stands
+        return self.results(st, np.array([j]), it, np.array([False]))[0]
 
 
 class _BorderedResidual(_Bordered, _RrResidual):
-    """1 < p < 2: v = w and G = w - y* + A* h(s), s = A*^T w / lam, whose
-    Newton matrix in w is I + A* diag(E) A*^T, E = h'(s) / lam (_block)."""
+    """1 < p < 2, the base of _BorderedEn and _BorderedDual: v = w and
+    G = w - y* + A* h(s), s = A*^T w / lam, whose Newton matrix in w is
+    I + A* diag(E) A*^T, E = h'(s) / lam (_block)."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.sigma = np.sqrt(_dot(self.y, self.y))
+        self.sigma = np.sqrt(_dot(self.y, self.y))[:, None]
         self.absA = np.abs(self.As)
-
-    def _v0(self):
-        return self.y - _mv(self.A, self.x0)
-
-    def _t0(self, w):
-        """t at w for aim "norm": where c(w, t) = 0, as ||h(A^T w / lam)||_p = eta
-        at lam = ||A^T w||_q / (p eta^(p-1)), q = p / (p-1).  The fitted lam0
-        of _bpdn_start can miss that lam by orders of magnitude near p = 1."""
-        if self.aim != "norm":
-            return super()._t0(w)
-        v = np.abs(_tmv(self.A, w))
-        top = v.max(axis=1)
-        q = self.p / (self.p - 1.0)
-        norm_q = top * pnorm._pow_sum(v / top[:, None], q) ** (1.0 / q)
-        return (np.log(norm_q / self.p) - (self.p - 1.0) * np.log(self.target))[:, None]
 
     def _rr_at(self, w, lam, rows):
         st = super()._rr_at(w, lam, rows)
@@ -1147,14 +1126,91 @@ class _BorderedResidual(_Bordered, _RrResidual):
         Es = E * s
         u = _mv(self.As, Es)
         d = _block(self.A, E, self.lam2, np.stack([-st["G"], lam * u], axis=-1))
-        if self.aim == "residual":  # c of w alone
-            return d, st["r"] / _dot(st["r"], st["r"])[:, None], 0.0
         dF_dt = -lam[:, 0] * _dot(s, Es)
         if self.aim == "norm":
             pF = self.p * st["F"]
             return d, u / pF[:, None], dF_dt / pF
         k = (self.r - self.p) / (self.p * st["F"])
         return d, -k[:, None] * u, 1.0 - k * dF_dt
+
+
+class _BorderedDual(_BorderedResidual):
+    """bpdn below p = 2 in the variable v of its convex dual, the merit, with
+    the constraint met in closed form at every point: aim "norm" v = w,
+    lam = (||h(A^T w)||_p / eta)^(p-1), dual 0.5 ||w||^2 - y^T w + w^T A x;
+    aim "residual" v = nu, lam = eps / ||nu||, w = lam nu, dual ((p-1)/p)
+    s^T x - y^T nu + eps ||nu||, s = A^T nu.  Either gradient is G = w - y +
+    A x.  The norm step is the bordered one at c = 0; the residual step solves
+    A diag(h'(s)) A^T + (eps / ||nu||) (I - nu nu^T / ||nu||^2), the dual's
+    Hessian.  The stall guard gains where the dual falls past the slack."""
+
+    var = "v"
+    slack = _Stack.slack
+
+    def start(self):
+        return self._at(self.x0, slice(None))
+
+    def _at(self, v, rows):
+        p, A, y, target = self.p, self.A[rows], self.y[rows], self.target[rows]
+        if self.aim == "norm":
+            a = _tmv(A, v)
+            top = _amax(a)[:, None]  # h(a / top) is h(a) up to a factor, and cannot overflow
+            x = pnorm._h(a / top, p)
+            norm = pnorm._pow_sum(x, p)[:, None] ** (1.0 / p)
+            lam = top * (norm / target[:, None]) ** (p - 1.0)
+            x *= target[:, None] / norm
+            st = {"r": v, "s": a / lam, "F": target ** p}
+            merit = 0.5 * _dot(v, v) - _dot(y, v) + _dot(a, x)
+        else:
+            s = _tmv(A, v)
+            x = pnorm._h(s, p)
+            norm = np.sqrt(_dot(v, v))
+            lam = (target / norm)[:, None]
+            st = {"r": lam * v, "s": s}
+            merit = (p - 1.0) / p * _dot(s, x) - _dot(y, v) + target * norm
+        st.update(v=v, x=x, lam=lam, G=st["r"] - y + _mv(A, x), merit=merit)
+        return st
+
+    def direction(self, st):
+        G = st["G"]
+        if self.aim == "norm":
+            d, cv, ct = self._linear(st)
+            a, b = d[..., 0], d[..., 1]
+            d = a - (_dot(cv, a) / (_dot(cv, b) + ct))[:, None] * b
+        else:
+            A, nu = self.A, st["v"]
+            n2 = _dot(nu, nu)[:, None, None]
+            H = np.matmul(A * pnorm._h_prime(st["s"], self.p)[:, None, :], A.transpose(0, 2, 1))
+            H += self.target[:, None, None] / np.sqrt(n2) * np.eye(A.shape[1])
+            H -= self.target[:, None, None] / (n2 * np.sqrt(n2)) * nu[:, :, None] * nu[:, None, :]
+            d = _solve(H, -G)
+        d, slope, _ = _descent(G, d)
+        failed = ~np.isfinite(d).all(axis=1)
+        return d, slope, failed if failed.any() else None
+
+    def _stall(self, st):
+        return st["merit"]
+
+    def gained(self, res, best):
+        return res + self.slack * np.abs(res) < best
+
+    def done(self, st, res, scale):  # polish while the dual falls; a stalled row is judged in results
+        return (st["rr"] <= 1e-3 * self.cfg.kkt_tol * self.scale) & (st["gap"] <= self.tol)
+
+    def results(self, st, rows, it, ok):
+        """A row left short of done, x without a zero (g'(0) is infinite), runs
+        on from (x, lam) in _BorderedPrimal, past the rounding of h(A^T w / lam)."""
+        out = super().results(st, rows, it, super().done(st, None, None)[rows])
+        x = st["x"][rows]
+        j = np.flatnonzero(~np.asarray(ok) & x.all(axis=1))
+        if len(j) and it < self.cfg.max_iter:
+            k = np.arange(self.size)[rows][j]
+            redo = _rerun(self.A[k], self.y[k], self.p, self.cfg, st["lam"][rows][j, 0], x[j], self.aim,
+                          self.target[k], self.tol[k], it)
+            for i, res in zip(j, redo):
+                if np.isfinite(res[1]):
+                    out[i] = res
+        return out
 
 
 class _BorderedEn(_BorderedResidual):
@@ -1190,16 +1246,40 @@ class _BorderedEn(_BorderedResidual):
 
 
 class _BorderedPrimal(_Bordered, _EnPrimal):
-    """p >= 2: v = x and G = A^T (A x - y) + lam g(x), whose Newton matrix
-    is A^T A + lam diag(g'(x)); dG/dt = lam g(x)."""
+    """p >= 2, and the rows _BorderedDual hands on: v = x and G = A^T (A x - y)
+    + lam g(x), with the Newton matrix A^T A + lam diag(g'(x)), floored as in
+    _BpPrimal; dG/dt = lam g(x).  sigma_i = ||a_i|| ||y|| (a zero column takes
+    the largest norm) weighs every column alike.  As t -> -inf the Newton matrix
+    turns singular and the merit can fall with no zero there, so a step lowers t
+    by at most _T_DROP, and a row left unsolved runs once more from x0 at 10 lam0."""
+
+    restarted = False  # set on a rerun (_rerun), which does not restart
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.sigma = self.scale
+        n2 = (self.A * self.A).sum(axis=1)
+        n2 = np.where(n2 > 0.0, n2, n2.max(axis=1, keepdims=True))
+        self.sigma = np.sqrt(n2 * _dot(self.y, self.y)[:, None])
         self.absA = np.abs(self.A)
 
-    def _v0(self):
-        return self.x0
+    def start(self):
+        return self._at(np.concatenate([self.x0, np.log(self.lam)], axis=1), slice(None))
+
+    def direction(self, st):
+        d, slope, failed = super().direction(st)
+        k = _T_DROP / np.maximum(-d[:, -1], _T_DROP)
+        return d * k[:, None], slope * k, failed
+
+    def results(self, st, rows, it, ok):
+        out = super().results(st, rows, it, ok)
+        j = np.flatnonzero(~np.asarray(ok))
+        if len(j) and not self.restarted and it < self.cfg.max_iter:
+            k = np.arange(self.size)[rows][j]
+            redo = _rerun(self.A[k], self.y[k], self.p, self.cfg, 10.0 * self.lam[k, 0], self.x0[k], self.aim,
+                          self.target[k], self.tol[k], it)
+            for i, res in zip(j, redo):
+                out[i] = res
+        return out
 
     def _rr_at(self, x, lam, rows):
         A = self.A[rows]
@@ -1219,11 +1299,22 @@ class _BorderedPrimal(_Bordered, _EnPrimal):
     def _linear(self, st):
         """c is of x alone: dc = r^T A dx / ||r||^2 or g(x)^T dx / (p ||x||_p^p)."""
         lam, g, r = st["lam"], st["g"], st["r"]
-        J = _add_diag(self.AtA.copy(), lam * pnorm._g_prime(st["x"], self.p))
-        d = _solve(J, np.stack([-st["G"], -lam * g], axis=-1))
+        e = lam * pnorm._g_prime(st["x"], self.p)
+        floor = _TIKHONOV * e.max(axis=-1)  # as _BpPrimal: g'(x_i) may sit near 0
+        e = np.where((e.min(axis=-1) < floor)[:, None], e + floor[:, None], e)
+        d = _solve(_add_diag(self.AtA.copy(), e), np.stack([-st["G"], -lam * g], axis=-1))
         if self.aim == "residual":
             return d, _tmv(self.A, r) / _dot(r, r)[:, None], 0.0
         return d, g / (self.p * st["F"][:, None]), 0.0
+
+
+def _rerun(A, y, p, cfg, lam, x0, aim, target, tol, it):
+    """(x, lam, iterations) of every row by _BorderedPrimal from (x0, lam)
+    with the budget left after `it` iterations, and no restart."""
+    br = _BorderedPrimal(A, y, p, replace(cfg, max_iter=cfg.max_iter - it), lam, x0, aim, target, tol)
+    br.restarted, out = True, [None] * len(A)
+    _newton(br, out, np.arange(len(A)))
+    return [(x, lam, it + k) for x, lam, k in out]
 
 
 def _bpdn_start(A, y, p, aim, target, x_ls):
@@ -1242,134 +1333,33 @@ def _bpdn_start(A, y, p, aim, target, x_ls):
     return x_bar, np.where(np.isfinite(lam), np.maximum(lam, 1e-12 * mean_sq), mean_sq)
 
 
-def _bpdn_path(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
-    """(x, lam, iterations, found) of every bpdn row, aim "residual" or "norm":
-    the bordered Newton (_rr_core with aim) from _bpdn_start, and
-    _rr_path_root from the same start on the rows it leaves unsolved, with
-    their iterations added."""
+def _bpdn_path(A, y, p, cfg, aim, target, tol, x_ls, v):
+    """(x, lam, iterations, found) of every bpdn row by _rr_core, aim
+    "residual" or "norm", from _bpdn_start (below p = 2, _dual_start)."""
     B, m, N = A.shape
     if not B:
         return np.zeros((0, N)), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=bool)
     x_bar, lam = _bpdn_start(A, y, p, aim, target, x_ls)
-    x, lam, iters = _rr_core(A, y, p, lam, cfg, x_bar, aim, target, tol)
-    found = np.isfinite(lam)
-    rows = np.flatnonzero(~found)
-    if len(rows):
-        x[rows], lam[rows], more, found[rows] = _rr_path_root(
-            A[rows], y[rows], p, cfg, aim, target[rows], tol[rows], tol_floor[rows], x_ls[rows])
-        iters[rows] += more
-    return x, lam, iters, found
+    warm = x_bar if p >= 2.0 else _dual_start(A, y, p, aim, target, x_ls, v, x_bar, lam)
+    x, lam, iters = _rr_core(A, y, p, lam, cfg, warm, aim, target, tol)
+    return x, lam, iters, np.isfinite(lam)
 
 
-def _path_dx(A, p, lam, x):
-    """dx/dlam on the rr path of every row of a stack.
-
-    Differentiating A^T (A x - y) + lam g(x) = 0 gives
-    (A^T A + diag(lam g'(x))) dx = -g(x).  For p >= 2 that n x n system is
-    solved as it stands; for 1 < p < 2, where g' blows up at 0, it is
-    solved in Woodbury form with E = diag(h'(g(x)) / lam) and the m x m
-    matrix of the residual Newton iteration (_block).
-    """
-    g = pnorm._g(x, p)
-    if p >= 2.0:
-        J = _add_diag(np.matmul(A.transpose(0, 2, 1), A), lam[:, None] * pnorm._g_prime(x, p))
-        return _solve(J, -g)
-    D = pnorm._h_prime(g, p) / lam[:, None]
-    return D * (_tmv(A, _block(A, D, 0.0, _mv(A, D * g)[..., None])[..., 0]) - g)
-
-
-def _rr_path_root(A, y, p, cfg, aim, target, tol, tol_floor, x_ls):
-    """Find, on each row k of a stack, lam on its rr path x(lam) where the path
-    meets `aim`, for the bpdn rows that _Bordered leaves unsolved:
-
-      "residual"  ||A x - y||_2 = target[k] (bpdn_eps); it grows with lam
-      "norm"      ||x||_p = target[k] (bpdn_eta); it falls
-
-    A row starts at _bpdn_start of x_ls.  Newton steps in log lam on
-    log ||A x - y|| or on ||x||_p take their slope from _path_dx and start
-    each rr solve on the tangent, x + dx/dlam (lam_new - lam).  The bracket
-    [lo, hi] seen so far guards them: a step that leaves it, or follows a
-    Newton step that failed to halve the mismatch, is replaced by a
-    geometric one (x8, /8 or sqrt(lo hi)) from x.  lam0 and the floor
-    1e-12 mean(A * A) scale as c^2 with (A, y), so the iteration is
-    scale-free.  A row aims for |gap| <= tol, or tol_floor once its bracket
-    collapses to machine width.  The rows run in lockstep, each row's
-    numbers its own: each round solves the active rows' rr as one stack
-    (_rr_core) and takes one stacked _path_dx.  A row leaves when it
-    matches, its bracket collapses, it reaches the floor, it has used 200
-    inner solves, or its inner x is not finite (a budget too small).
-    Returns (x, lam, inner_iterations, found); where not found (even the
-    floor lies past the target, no point met tol_floor, or an inner x was
-    not finite), x and lam are the closest point seen and its lam (the
-    start and nan if no inner x was finite).
-    """
-    inner_cfg = replace(cfg, kkt_tol=max(1e-13, cfg.kkt_tol * 1e-3))  # well below the match tolerance
-    B, m, N = A.shape
-    floor = 1e-12 * (A * A).reshape(B, m * N).mean(axis=1)
-    x0, lam = _bpdn_start(A, y, p, aim, target, x_ls)
-    x_out, lam_out = np.zeros((B, N)), np.full(B, np.nan)
-    iters, found = np.zeros(B, dtype=int), np.zeros(B, dtype=bool)
-    grows = aim != "norm"
-    s = {"row": np.arange(B), "A": A, "y": y, "target": target, "tol": tol, "tol_floor": tol_floor,
-         "lam": lam, "floor": floor, "lo": np.zeros(B), "hi": np.full(B, np.inf), "warm": x0,
-         "total": np.zeros(B, dtype=int), "best": np.full(B, np.inf), "best_x": x0.copy(),
-         "best_lam": np.full(B, np.nan), "last_gap": np.full(B, np.inf), "newton": np.zeros(B, dtype=bool)}
-    for solves in range(1, 201):  # budget of inner rr solves
-        x, _, inner = _rr_core(s["A"], s["y"], p, s["lam"], inner_cfg, s["warm"])
-        s["total"] = s["total"] + inner
-        with np.errstate(all="ignore"):
-            res = _mv(s["A"], x) - s["y"]
-            value = (np.sqrt(_dot(res, res)) if aim == "residual"
-                     else pnorm._pow_sum(x, p) ** (1.0 / p))
-            gap = value - s["target"]
-        lost = ~(np.isfinite(x).all(axis=1) & np.isfinite(gap))
-        match = ~lost & (np.abs(gap) <= s["tol"])
-        better = ~lost & (np.abs(gap) < s["best"])
-        s["best"] = np.where(better, np.abs(gap), s["best"])
-        s["best_x"] = np.where(better[:, None], x, s["best_x"])
-        s["best_lam"] = np.where(better, s["lam"], s["best_lam"])
-        past = (gap > 0.0) == grows
-        dead = lost | (~match & past & (s["lam"] <= s["floor"]))
-        s["hi"] = np.where(past, s["lam"], s["hi"])
-        s["lo"] = np.where(past, s["lo"], s["lam"])
-        shut = ~match & ~dead & ((s["lo"] >= (1.0 - 1e-13) * s["hi"]) | (solves == 200))
-        found[s["row"][match | (shut & (s["best"] <= s["tol_floor"]))]] = True
-        leave = match | dead | shut
-        k = s["row"][leave]
-        x_out[k] = np.where(match[leave, None], x[leave], s["best_x"][leave])
-        lam_out[k] = np.where(match[leave], s["lam"][leave], s["best_lam"][leave])
-        iters[k] = s["total"][leave]
-        s.update(x=x, r=res, value=value, gap=gap)
-        if leave.any():
-            s = {key: v[~leave] for key, v in s.items()}
-        if not len(s["row"]):
-            break
-        x = s["x"]
-        lam, lo, hi = s["lam"], s["lo"], s["hi"]
-        with np.errstate(all="ignore"):
-            dx = _path_dx(s["A"], p, lam, x)
-            if aim == "residual":
-                # Newton on log ||r||, which is near linear in log lam where
-                # the residual grows like lam; ||x||_p is stepped on as it is
-                phi = np.log(s["value"] / s["target"])
-                slope = lam * _dot(s["r"], _mv(s["A"], dx)) / s["value"] ** 2
-            else:
-                phi = s["gap"]
-                slope = lam * _dot(pnorm._g(x / s["value"][:, None], p), dx) / p
-            step = lam * np.exp(-phi / slope)
-            # an open side of the bracket reaches one geometric step out
-            up, down = hi == np.inf, lo == 0.0
-            geometric = np.where(up, 8.0 * lam,
-                                 np.where(down, np.maximum(lam / 8.0, s["floor"]), np.sqrt(lo * hi)))
-            inside = np.where(up, (lo < step) & (step <= geometric),
-                              np.where(down, geometric <= step, lo < step) & (step < hi))
-            gap = np.abs(s["gap"])
-            newton = s["newton"] = inside & ~(s["newton"] & (gap > 0.5 * s["last_gap"]))
-            s["lam"] = np.where(newton, step, geometric)
-            s["last_gap"] = gap
-            s["warm"] = x.copy()
-            s["warm"][newton] += dx[newton] * (s["lam"][newton] - lam[newton])[:, None]
-    return x_out, lam_out, iters, found
+def _dual_start(A, y, p, aim, target, x_ls, v, x_bar, lam):
+    """The start of _BorderedDual on every bpdn row: the minimum of its dual
+    on the ray k v of v = (A A^T)^-1 y (A^T v = x_ls, y^T v = ||x_ls||^2),
+    0.5 k^2 ||v||^2 - k (||x_ls||^2 - eta ||x_ls||_q) or k^q f*(x_ls) -
+    k (||x_ls||^2 - eps ||v||), f*(s) = (p - 1) sum |s / p|^q, where k > 0;
+    elsewhere w = y - A x_bar (nu = w / lam) of _bpdn_start."""
+    q = p / (p - 1.0)
+    gain, w, fq = _dot(x_ls, x_ls), y - _mv(A, x_bar), pnorm._pow_sum(x_ls, q)
+    with np.errstate(all="ignore"):
+        if aim == "norm":
+            k = (gain - target * fq ** (1.0 / q)) / _dot(v, v)
+        else:
+            k = ((gain - target * np.sqrt(_dot(v, v))) / (q * (p - 1.0) * p ** -q * fq)) ** (p - 1.0)
+            w = w / lam[:, None]
+    return np.where((np.isfinite(k) & (k > 0.0))[:, None], k[:, None] * v, w)
 
 
 # ---------------------------------------------------------------------------

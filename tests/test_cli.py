@@ -128,6 +128,28 @@ class TestSolveCommand:
         assert doc["status"] != "converged"
         assert rc == 2
 
+    @pytest.mark.parametrize("family", ["bp", "bpdn-eps"])
+    def test_non_finite_written_as_null(self, tmp_path, capsys, family):
+        # an infeasible bp and a degenerate bpdn result have kkt_residual inf,
+        # which strict JSON has no literal for
+        if family == "bp":
+            mp, yp = write_instance(tmp_path, [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
+            extra = []
+        else:
+            rng = np.random.default_rng(3)
+            A, y = rng.normal(size=(8, 20)), rng.normal(size=8)
+            mp, yp = write_instance(tmp_path, A, y)
+            extra = ["--eps", repr(0.1 * float(np.linalg.norm(y))), "--max-iter", "1"]
+        rc = main(["solve", "--family", family, "--p", "1.5", "--matrix", mp, "--rhs", yp, *extra])
+
+        def reject(name):
+            raise ValueError(f"non-finite literal {name}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rc == 2
+        assert doc["status"] == ("infeasible" if family == "bp" else "degenerate")
+        assert doc["kkt_residual"] is None
+
     @pytest.mark.parametrize("flag,value", [("--tol", "0"), ("--tol", "-1"), ("--tol", "nan"),
                                             ("--tol", "inf"), ("--max-iter", "0")])
     def test_bad_solver_config_exits_1(self, tmp_path, capsys, flag, value):
